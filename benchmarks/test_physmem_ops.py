@@ -1,12 +1,8 @@
 """Micro-benchmark gates for the columnar frame store.
 
-Three properties of the PR-5 memory stack are asserted as ratios (wall
-numbers are host-dependent and only reported):
+Two properties of the frame store's accounting are asserted as ratios
+(wall numbers are host-dependent and only reported):
 
-* **digest-all-frames**: hashing every frame of a duplicate-heavy
-  machine must be at least 5x faster on the columnar store, because the
-  arena computes one digest per *unique* payload while the legacy store
-  hashes every frame;
 * **O(1) accounting**: the per-sample cost of ``frames_in_use`` +
   ``type_histogram`` must be flat in machine size (counters, not
   recounts) — a 16x larger machine may not cost more than a small
@@ -27,7 +23,6 @@ import time
 
 import pytest
 
-from repro.mem.content import tagged_content
 from repro.mem.physmem import FrameType, PhysicalMemory
 
 RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / (
@@ -35,18 +30,9 @@ RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / (
 )
 
 FRAMES = 16384
-UNIQUE_CONTENTS = 64  # duplicate-heavy, as VM fleets are (Fig. 10)
 REPEATS = 5
-MIN_DIGEST_SPEEDUP = 5.0
 MAX_SAMPLE_GROWTH = 3.0  # 16x frames may cost at most 3x per sample
 MIN_MAPPED_SPEEDUP = 2.0
-
-
-def populate(store: str, frames: int = FRAMES) -> PhysicalMemory:
-    physmem = PhysicalMemory(frames, frame_store=store)
-    for pfn in range(frames):
-        physmem.write(pfn, tagged_content("bench", pfn % UNIQUE_CONTENTS))
-    return physmem
 
 
 def best_of(repeats: int, run) -> float:
@@ -62,7 +48,6 @@ def best_of(repeats: int, run) -> float:
 def report():
     data = {
         "frames": FRAMES,
-        "unique_contents": UNIQUE_CONTENTS,
         "gates": {},
     }
     yield data
@@ -70,39 +55,9 @@ def report():
     print(f"\nwrote {RESULT_PATH}")
 
 
-def test_digest_all_frames_speedup(report):
-    """Cold full-machine digest sweep: once per unique vs once per frame."""
-    pfns = list(range(FRAMES))
-    times = {}
-    results = {}
-    for store in ("legacy", "columnar"):
-        best = float("inf")
-        for _ in range(REPEATS):
-            physmem = populate(store)  # fresh store: cold digest caches
-            start = time.perf_counter()
-            results[store] = physmem.digests_many(pfns)
-            best = min(best, time.perf_counter() - start)
-        times[store] = best
-    assert results["legacy"] == results["columnar"]
-    speedup = times["legacy"] / times["columnar"]
-    report["gates"]["digest_all_frames"] = {
-        "legacy_s": times["legacy"],
-        "columnar_s": times["columnar"],
-        "speedup": speedup,
-    }
-    print(
-        f"\ndigest-all-frames: legacy {times['legacy'] * 1e3:.1f} ms, "
-        f"columnar {times['columnar'] * 1e3:.1f} ms ({speedup:.1f}x)"
-    )
-    assert speedup >= MIN_DIGEST_SPEEDUP, (
-        f"digest sweep only {speedup:.2f}x faster on columnar "
-        f"(need {MIN_DIGEST_SPEEDUP}x)"
-    )
-
-
 def sample_cost(frames: int) -> float:
     """Per-sample accounting cost on a machine with busy frame types."""
-    physmem = PhysicalMemory(frames, frame_store="columnar")
+    physmem = PhysicalMemory(frames)
     types = [t for t in FrameType if t is not FrameType.FREE]
     for pfn in range(0, frames, 2):
         physmem.set_frame_type(pfn, types[pfn % len(types)])
@@ -142,7 +97,7 @@ def test_accounting_cost_is_flat_in_machine_size(report):
 
 def test_mapped_frames_cache_beats_resort(report):
     """Steady-state mapped_frames() vs re-sorting the rmap every call."""
-    physmem = PhysicalMemory(FRAMES, frame_store="columnar")
+    physmem = PhysicalMemory(FRAMES)
     for pfn in range(0, FRAMES, 2):
         physmem.rmap_add(pfn, 1, pfn * 4096)
     rounds = 200

@@ -55,14 +55,12 @@ def fingerprint_report(kernel: Kernel) -> dict:
     fingerprints = physmem.fingerprints
     report: dict = {
         "enabled": fingerprints.enabled,
-        "store": physmem.store_kind,
         "physmem": fingerprints.stats.as_dict(),
         "cached_digests": len(fingerprints.cached_frames()),
         "mutation_epoch": fingerprints.mutation_epoch,
+        "arena": physmem.arena.stats.as_dict(),
+        "unique_contents": physmem.arena.unique_contents(),
     }
-    if physmem.arena is not None:
-        report["arena"] = physmem.arena.stats.as_dict()
-        report["unique_contents"] = physmem.arena.unique_contents()
     if kernel.fusion is not None:
         report["scan"] = kernel.fusion.incremental_stats()
     return report

@@ -286,15 +286,14 @@ register(Rule(
 # ----------------------------------------------------------------------
 _PHYSMEM_INTERNALS = {
     # PhysicalMemory columns and counters.
-    "_contents", "_refcount", "_types", "_rmap", "_versions",
-    "_fusion_pinned", "_backing", "_cids", "_in_use", "_type_counts",
-    "_mapped_cache",
+    "_cids", "_refcount", "_types", "_rmap", "_versions",
+    "_fusion_pinned", "_in_use", "_type_counts", "_mapped_cache",
     # ContentArena id tables, refcounts and mutators: interning is part
     # of the write barrier, so only repro.mem may retain/release ids.
     "_ids", "_payloads", "_digest_cache", "_free_ids",
     "_intern", "_retain", "_release",
     # FingerprintCache internals.
-    "_digests", "_generations",
+    "_generations",
     # BuddyAllocator free lists and counter.
     "_free_lists", "_free_blocks", "_free_frames",
 }
@@ -309,9 +308,9 @@ class _PhysmemInternalsVisitor(ast.NodeVisitor):
             self.ctx.report(
                 "MEM001", node,
                 f"direct access to frame-store internal .{node.attr} "
-                "bypasses the write barrier (fingerprint invalidation, "
-                "sanitizer hooks); go through the PhysicalMemory / "
-                "BuddyAllocator API",
+                "bypasses the write barrier (arena refcounts, generation "
+                "counters, sanitizer hooks); go through the PhysicalMemory "
+                "/ BuddyAllocator API",
             )
         self.generic_visit(node)
 
@@ -322,10 +321,11 @@ register(Rule(
     summary="frame-store internals are mutated only inside repro.mem",
     rationale=(
         "PhysicalMemory.write/copy funnel every content mutation through "
-        "the fingerprint write barrier and FrameSan hooks; a direct "
-        "_contents[pfn] = ... keeps a stale digest alive and blinds the "
-        "sanitizer — the simulator's equivalent of skipping the PTE "
-        "reserved-bit trap VUsion relies on."
+        "the arena, the generation counters and FrameSan hooks; a direct "
+        "_cids[pfn] = ... leaks or frees an arena reference, hides the "
+        "change from every engine's dirty view and blinds the sanitizer "
+        "— the simulator's equivalent of skipping the PTE reserved-bit "
+        "trap VUsion relies on."
     ),
     checker=_PhysmemInternalsVisitor,
     applies_to=_not_in_packages("repro.mem", "tests", "benchmarks"),

@@ -69,8 +69,6 @@ class Kernel:
         self.physmem = PhysicalMemory(
             self.spec.total_frames,
             fingerprint_enabled=self.spec.fingerprint_enabled,
-            frame_store=self.spec.frame_store,
-            scan_kernel=self.spec.scan_kernel,
         )
         self.buddy = BuddyAllocator(RESERVED_FRAMES, self.spec.total_frames - RESERVED_FRAMES)
         #: FrameSan (None unless ``REPRO_SANITIZE=1`` or ``sanitize=True``):

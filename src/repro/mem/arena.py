@@ -16,8 +16,7 @@ simulates deduplicate guest memory.  The arena interns every
 * the 64-bit content digest is computed at most once per *unique*
   payload.  Digests are content-addressed: mutating a frame swaps its
   cid, it never edits a payload in place, so a cached digest can never
-  go stale — the property that lets the columnar store drop the
-  per-frame invalidation bookkeeping of the legacy fingerprint cache.
+  go stale, so digests need no per-frame invalidation bookkeeping.
 
 Invariants (cross-checked by FrameSan's end-of-run audit and the
 property tests in ``tests/test_content_arena.py``):
@@ -31,7 +30,7 @@ property tests in ``tests/test_content_arena.py``):
 
 Only ``repro.mem`` may call the underscore mutators (``_intern`` /
 ``_retain`` / ``_release``); simlint's MEM001 enforces this the same
-way it protects ``PhysicalMemory._contents``.
+way it protects ``PhysicalMemory``'s content-id column.
 """
 
 from __future__ import annotations

@@ -21,6 +21,10 @@ reference loops.  Same discipline as
 * FrameSan-sanitized runs, which must also be identical — and end
   with a clean ledger audit under either kernel.
 
+Every ``PhysicalMemory`` builds a :class:`BatchScanKernel`; the scalar
+side of each pair swaps in the :class:`ScalarScanKernel` reference
+(see :func:`use_kernel`).
+
 The mutation meta-test (``tests/test_scan_kernel_mutations.py``)
 plants boundary bugs into the kernel source and checks this suite's
 probes catch every one.
@@ -34,7 +38,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.kernel.kernel import Kernel
 from repro.mem.content import tagged_content
 from repro.mem.physmem import PhysicalMemory
-from repro.mem.scankernel import SCAN_KERNEL_ENV
+from repro.mem.scankernel import ScalarScanKernel
 from repro.params import MS, MachineSpec, PAGE_SIZE
 from repro.runner import canonical_json, execute_task
 
@@ -47,6 +51,14 @@ from tests.test_store_differential import (
 )
 
 KERNELS = ("scalar", "batch")
+
+
+def use_kernel(physmem: PhysicalMemory, kind: str) -> PhysicalMemory:
+    """Serve ``physmem``'s scan primitives from the ``kind`` kernel."""
+    if kind == "scalar":
+        physmem.scan_kernel = ScalarScanKernel(physmem)
+    return physmem
+
 
 # ----------------------------------------------------------------------
 # Layer 1: lockstep primitives under randomized frame traffic
@@ -97,7 +109,7 @@ def primitive_answers(physmem: PhysicalMemory, snapshot: list[int]) -> tuple:
 def test_raw_lockstep(ops):
     """Both kernels answer identically after every operation."""
     machines = {
-        kind: PhysicalMemory(RAW_FRAMES, scan_kernel=kind) for kind in KERNELS
+        kind: use_kernel(PhysicalMemory(RAW_FRAMES), kind) for kind in KERNELS
     }
     baseline = {
         kind: machines[kind].scan_kernel.generation_snapshot(
@@ -143,8 +155,9 @@ def test_raw_lockstep(ops):
 
 
 def build_kernel(engine_name: str, kind: str, sanitize: bool) -> Kernel:
-    spec = MachineSpec(total_frames=1024, seed=1017, scan_kernel=kind)
+    spec = MachineSpec(total_frames=1024, seed=1017)
     kernel = Kernel(spec, sanitize=sanitize or None)
+    use_kernel(kernel.physmem, kind)
     kernel.attach_fusion(ENGINES[engine_name]())
     return kernel
 
@@ -210,8 +223,19 @@ def test_randomized_traffic_is_identical_across_kernels(traffic, engine_index):
 
 
 def run_with_kernel(monkeypatch, spec, kind: str) -> dict:
-    monkeypatch.setenv(SCAN_KERNEL_ENV, kind)
-    return execute_task(spec, seed=1017)
+    if kind == "batch":
+        return execute_task(spec, seed=1017)
+    built: list[ScalarScanKernel] = []
+
+    def scalar_kernel(physmem):
+        built.append(ScalarScanKernel(physmem))
+        return built[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.mem.physmem.BatchScanKernel", scalar_kernel)
+        payload = execute_task(spec, seed=1017)
+    assert built, "the task built no machine through PhysicalMemory"
+    return payload
 
 
 @pytest.mark.parametrize("task_name", sorted(RUNNER_TASKS))
@@ -256,38 +280,3 @@ def test_sanitized_runs_are_identical_and_audit_clean(engine_name):
     # Identical ledgers, not merely both clean: the sanitizer saw the
     # same accesses in the same quantities under either kernel.
     assert audits["scalar"] == audits["batch"]
-
-
-# ----------------------------------------------------------------------
-# Selection plumbing
-# ----------------------------------------------------------------------
-
-
-def test_spec_and_env_selection(monkeypatch):
-    monkeypatch.delenv(SCAN_KERNEL_ENV, raising=False)
-    assert PhysicalMemory(8).scan_kernel_kind == "batch"
-    assert PhysicalMemory(8, scan_kernel="scalar").scan_kernel_kind == "scalar"
-    monkeypatch.setenv(SCAN_KERNEL_ENV, "scalar")
-    assert PhysicalMemory(8).scan_kernel_kind == "scalar"
-    assert PhysicalMemory(8, scan_kernel="batch").scan_kernel_kind == "batch"
-    monkeypatch.setenv(SCAN_KERNEL_ENV, "bogus")
-    assert PhysicalMemory(8).scan_kernel_kind == "batch"
-    with pytest.raises(ValueError):
-        PhysicalMemory(8, scan_kernel="simd")
-
-
-def test_batch_kernel_on_legacy_store_is_scalar_equivalent():
-    legacy = PhysicalMemory(RAW_FRAMES, frame_store="legacy",
-                            scan_kernel="batch")
-    columnar = PhysicalMemory(RAW_FRAMES, scan_kernel="batch")
-    assert legacy.scan_kernel.backend == "scalar"
-    for physmem in (legacy, columnar):
-        physmem.write(1, tagged_content("legacy", 1))
-        physmem.write(2, tagged_content("legacy", 1))
-    assert legacy.scan_kernel.zero_frames(PROBE_PFNS) == (
-        columnar.scan_kernel.zero_frames(PROBE_PFNS)
-    )
-    assert list(legacy.scan_kernel.group_by_content(PROBE_PFNS).values()) == (
-        list(columnar.scan_kernel.group_by_content(PROBE_PFNS).values())
-    )
-    assert legacy.digests_many(PROBE_PFNS) == columnar.digests_many(PROBE_PFNS)

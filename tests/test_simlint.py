@@ -170,13 +170,13 @@ class TestDet004BuiltinHash:
 class TestMem001FrameStoreInternals:
     BAD = """
         def smash(physmem, pfn, content):
-            physmem._contents[pfn] = content
+            physmem._cids[pfn] = content
     """
 
     def test_flags_direct_contents_write(self):
         findings = lint(self.BAD, "repro.fusion.ksm", ["MEM001"])
         assert rule_ids(findings) == ["MEM001"]
-        assert "_contents" in findings[0].message
+        assert "_cids" in findings[0].message
 
     def test_repro_mem_and_tests_exempt(self):
         for module in ("repro.mem.physmem", "tests.test_kernel"):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.kernel.kernel import Kernel
@@ -41,13 +40,11 @@ type_op = st.tuples(
 )
 
 
-@pytest.mark.parametrize("frame_store", ["legacy", "columnar"])
 @given(ops=st.lists(type_op, min_size=1, max_size=300))
-def test_counters_match_recount_under_random_retype(frame_store, ops):
-    """frames_in_use/type_histogram equal a full recount at every step
-    (the columnar accessors are counter-backed; the legacy ones keep the
-    historical recount — both must agree with the ground truth)."""
-    physmem = PhysicalMemory(FRAMES, frame_store=frame_store)
+def test_counters_match_recount_under_random_retype(ops):
+    """Counter-backed frames_in_use/type_histogram equal a full recount
+    at every step."""
+    physmem = PhysicalMemory(FRAMES)
     for pfn, frame_type in ops:
         physmem.set_frame_type(pfn, frame_type)
         in_use, histogram = recount(physmem)
