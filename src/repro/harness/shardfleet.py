@@ -286,9 +286,9 @@ def run_sharded_serial(spec: ScenarioSpec, on_round=None,
     """Reference executor: every shard in this process, in order.
 
     ``shards == 1`` short-circuits to the plain serial driver (the
-    exact pre-sharding code path).  This is both the degraded mode of
-    the shard pool and the byte-identity baseline its tests compare
-    against.
+    exact pre-sharding code path).  This is both the single-worker and
+    forced-serial path of :func:`~repro.runner.shardpool.run_sharded`
+    and the byte-identity baseline its tests compare against.
     """
     if spec.shards == 1:
         return FleetDriver(spec).run()

@@ -1,31 +1,44 @@
-"""Parallel fault-tolerant execution of task specs.
+"""One fault-tolerant worker pool for every parallel sweep.
 
-Each task attempt runs in its own worker process (simulations are
-long-lived and CPU-bound, so per-task process overhead is noise), with
-at most ``jobs`` attempts in flight.  The parent supervises:
+The evaluation is a list of independent jobs: the tasks of a sweep
+(:func:`run_tasks`) or the shards of one sharded scenario
+(:func:`repro.runner.shardpool.run_sharded`).  :class:`WorkerPool` runs
+them, giving every attempt a fresh forked process, with at most
+``workers`` attempts in flight.  The parent supervises:
 
-* **Per-task timeout** — a hung worker is killed and the attempt
-  counts as ``timeout``.
+* **Watchdog** — ``timeout_s`` is the longest a worker may go without
+  sending a message.  A one-shot task sends only its reply, so for it
+  this is a per-attempt deadline; a shard's per-round beacons keep it
+  alive.  A silent worker is killed and the attempt counts as
+  ``timeout``.
 * **Bounded retry with backoff** — crashed (bad exit code, no reply),
   timed-out and erroring attempts are requeued up to ``max_retries``
-  times with exponential backoff.
-* **Graceful degradation** — if worker processes cannot be created at
-  all (sandboxed environments, exhausted pids), the remaining tasks
-  run serially in-process and the run still completes.
+  times; attempt ``n`` waits ``retry_backoff_s * 2**n``.
+* **Serial degradation** — if worker processes cannot be created at
+  all (unknown start method, sandboxed environments, exhausted pids),
+  the remaining jobs run in-process and the run still completes.
+* **No orphans** — workers are not daemonic, so a worker may run a
+  pool of its own (a sharded fleet task under ``--shards N``).  Such a
+  nested pool first makes its worker a process-group leader; its
+  workers join that group, and the one kill path takes the whole group
+  down with the worker, even when the worker crashed.
 
-Determinism: a task's payload is a pure function of ``(spec, seed)``
-and seeds are derived from ``(root_seed, task_id)`` alone, so results
-are byte-identical for any ``jobs`` value and any retry history.
-Results are returned in submission order, never completion order.
+Determinism: a job's payload is a pure function of its arguments (task
+seeds derive from ``(root_seed, task_id)`` alone), so results are
+byte-identical for any worker count and any retry history.  Results
+are returned in submission order, never completion order.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
+import signal
 import time
 import traceback
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.runner.progress import (
     PoolDegraded,
@@ -45,7 +58,7 @@ class RunnerConfig:
     """Execution policy for one sweep."""
 
     jobs: int = 1
-    #: Per-attempt wall-clock budget; ``None`` disables the watchdog.
+    #: Watchdog: max silence per worker; ``None`` disables it.
     timeout_s: float | None = None
     #: Failed attempts are retried this many times (attempts = retries+1).
     max_retries: int = 2
@@ -95,22 +108,31 @@ def resolve_jobs(explicit: int | None = None, *,
     return value
 
 
-@dataclass
-class TaskResult:
-    """Outcome of one task after all attempts."""
+@dataclass(frozen=True)
+class Job:
+    """One unit of work: ``fn(*args, attempt=n, beacon=send)``.
 
-    spec: TaskSpec
-    seed: int
+    ``fn`` is a module-level function returning the job's payload.
+    ``beacon(message)`` ships a progress message to the parent: it
+    resets the watchdog and reaches the pool's ``on_beacon``.
+    """
+
+    job_id: str
+    fn: Callable
+    args: tuple
+
+
+@dataclass
+class JobResult:
+    """Outcome of one job after all attempts."""
+
+    job_id: str
     status: str                  #: "ok" | "error" | "timeout" | "crashed"
     attempts: int
     duration_s: float
-    payload: dict | None = None
+    payload: object = None
     error: str | None = None
     mode: str = "pool"           #: "pool" | "serial"
-
-    @property
-    def task_id(self) -> str:
-        return self.spec.task_id
 
     @property
     def ok(self) -> bool:
@@ -118,29 +140,47 @@ class TaskResult:
 
     @property
     def checks_pass(self) -> bool | None:
-        if self.payload is None:
-            return False if not self.ok else None
-        return self.payload.get("checks_pass")
+        """The payload's own check verdict; a failed job without one
+        fails."""
+        if isinstance(self.payload, dict):
+            return self.payload.get("checks_pass")
+        return None if self.ok else False
+
+
+@dataclass(kw_only=True)
+class TaskResult(JobResult):
+    """Outcome of one task after all attempts."""
+
+    spec: TaskSpec
+    seed: int
+
+    @property
+    def task_id(self) -> str:
+        return self.spec.task_id
+
+
+def _failure_detail(exc: BaseException) -> str:
+    # Structured checker errors (FrameSan, simlint) carry a one-line
+    # ``diagnostic`` with frame provenance; lead with it so the
+    # supervisor can surface it without parsing the traceback.
+    detail = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
+    diagnostic = getattr(exc, "diagnostic", None)
+    return f"{diagnostic}\n{detail}" if diagnostic else detail
 
 
 @worker_entry
-def _worker_main(conn, spec: TaskSpec, seed: int, attempt: int,
-                 shard_workers: int = 1) -> None:
-    """Child entry point: run the task, ship the payload back, exit."""
+def _worker_main(conn, fn, args: tuple, attempt: int) -> None:
+    """Child entry point: run one job attempt, ship the payload back."""
+
+    def beacon(message) -> None:
+        conn.send(("beacon", message))
+
     try:
-        payload = execute_task(spec, seed, attempt=attempt,
-                               shard_workers=shard_workers)
-        conn.send(("ok", payload, None))
+        payload = fn(*args, attempt=attempt, beacon=beacon)
+        conn.send(("ok", payload))
     except BaseException as exc:  # noqa: BLE001 - report, parent decides
-        # Structured checker errors (FrameSan, simlint) carry a one-line
-        # ``diagnostic`` with frame provenance; lead with it so the
-        # supervisor can surface it without parsing the traceback.
-        diagnostic = getattr(exc, "diagnostic", None)
-        detail = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-        if diagnostic:
-            detail = f"{diagnostic}\n{detail}"
         try:
-            conn.send(("error", None, detail))
+            conn.send(("error", _failure_detail(exc)))
         except Exception:
             pass
     finally:
@@ -173,8 +213,7 @@ class _Attempt:
     attempt: int
     process: object
     conn: object
-    started: float
-    deadline: float | None
+    last_heard: float
 
 
 @dataclass
@@ -188,149 +227,130 @@ class _PoolBroken(Exception):
     """Raised internally when worker processes cannot be created."""
 
 
-class TaskPool:
-    """Supervisor for one sweep (see module docstring)."""
+class WorkerPool:
+    """Supervisor for one list of jobs (see module docstring).
 
-    def __init__(self, tasks, *, root_seed: int = 1017,
-                 config: RunnerConfig | None = None, on_event=None) -> None:
-        self.tasks: list[TaskSpec] = list(tasks)
-        self.root_seed = root_seed
-        self.config = config or RunnerConfig()
+    ``policy`` is a :class:`RunnerConfig` or a
+    :class:`~repro.runner.shardpool.ShardPoolConfig`: the pool reads
+    its ``timeout_s``, ``max_retries``, ``retry_backoff_s``,
+    ``start_method`` and ``force_serial``.
+    """
+
+    def __init__(self, jobs, *, workers: int, policy, on_event=None,
+                 on_beacon=None) -> None:
+        self.jobs: list[Job] = list(jobs)
+        self.workers = max(1, workers)
+        self.policy = policy
         self.on_event = on_event or (lambda event: None)
-        self.seeds = [
-            task.seed if task.seed is not None
-            else derive_seed(root_seed, task.task_id)
-            for task in self.tasks
-        ]
-        self._results: list[TaskResult | None] = [None] * len(self.tasks)
+        #: ``on_beacon(index, message)`` for every job beacon.
+        self.on_beacon = on_beacon or (lambda index, message: None)
+        self._results: list[JobResult | None] = [None] * len(self.jobs)
         self._first_started: dict[int, float] = {}
-        #: Per-task failure history ("attempt N: outcome: first line"),
+        #: Per-job failure history ("attempt N: outcome: first line"),
         #: folded into the final error when the retry budget runs out.
         self._attempt_log: dict[int, list[str]] = {}
 
-    # -- event helpers --------------------------------------------------
-    def _emit(self, event) -> None:
-        self.on_event(event)
+    # -- bookkeeping ----------------------------------------------------
+    def _note_started(self, index: int, attempt: int) -> None:
+        self._first_started.setdefault(index, time.monotonic())
+        self.on_event(TaskStarted(
+            task_id=self.jobs[index].job_id, index=index,
+            total=len(self.jobs), attempt=attempt,
+        ))
 
     def _finish(self, index: int, status: str, attempts: int,
-                payload=None, error=None, mode="pool") -> TaskResult:
-        duration = time.monotonic() - self._first_started[index]
-        result = TaskResult(
-            spec=self.tasks[index], seed=self.seeds[index], status=status,
-            attempts=attempts, duration_s=duration, payload=payload,
-            error=error, mode=mode,
+                payload=None, error=None, mode="pool") -> None:
+        result = JobResult(
+            job_id=self.jobs[index].job_id, status=status, attempts=attempts,
+            duration_s=time.monotonic() - self._first_started[index],
+            payload=payload, error=error, mode=mode,
         )
         self._results[index] = result
-        self._emit(TaskFinished(
-            task_id=result.task_id, index=index, total=len(self.tasks),
-            status=status, attempts=attempts, duration_s=duration,
+        self.on_event(TaskFinished(
+            task_id=result.job_id, index=index, total=len(self.jobs),
+            status=status, attempts=attempts, duration_s=result.duration_s,
             checks_pass=result.checks_pass,
         ))
-        return result
 
-    def _note_started(self, index: int, attempt: int) -> None:
-        now = time.monotonic()
-        self._first_started.setdefault(index, now)
-        self._emit(TaskStarted(
-            task_id=self.tasks[index].task_id, index=index,
-            total=len(self.tasks), attempt=attempt,
-        ))
-
-    def _backoff(self, attempt: int) -> float:
-        return self.config.retry_backoff_s * (2 ** attempt)
-
-    def _note_failure(self, index: int, attempt: int, outcome: str,
-                      detail: str) -> None:
+    def _fail(self, index: int, attempt: int, outcome: str, detail: str,
+              mode: str = "pool") -> float | None:
+        """Record a failed attempt; the retry delay, or None if the job
+        is out of retries (and now finished)."""
         summary = (detail or outcome).strip()
         first_line = summary.splitlines()[0] if summary else outcome
-        self._attempt_log.setdefault(index, []).append(
-            f"attempt {attempt + 1}: {outcome}: {first_line}"
-        )
-
-    def _exhausted_error(self, index: int, outcome: str, detail: str) -> str:
-        """Final error for a task that ran out of retries.
-
-        Leads with the task id and the per-attempt history, then the
-        last checker diagnostic (FrameSan/simlint) if one is buried in
-        the traceback, then the full detail of the final attempt.
-        """
-        history = self._attempt_log.get(index, [])
-        lines = [
-            f"task '{self.tasks[index].task_id}' (seed {self.seeds[index]}) "
-            f"gave up: {outcome} after {len(history)} attempt(s)"
-        ]
+        history = self._attempt_log.setdefault(index, [])
+        history.append(f"attempt {attempt + 1}: {outcome}: {first_line}")
+        if attempt < self.policy.max_retries:
+            delay = self.policy.retry_backoff_s * (2 ** attempt)
+            self.on_event(TaskRetrying(
+                task_id=self.jobs[index].job_id, attempt=attempt,
+                reason=outcome, delay_s=delay, detail=detail,
+            ))
+            return delay
+        # Lead with the job id and the per-attempt history, then the
+        # last checker diagnostic (FrameSan/simlint) if one is buried in
+        # the traceback, then the full detail of the final attempt.
+        lines = [f"job '{self.jobs[index].job_id}' gave up: {outcome} "
+                 f"after {len(history)} attempt(s)"]
         lines += [f"  {entry}" for entry in history]
         diagnostic = extract_diagnostic(detail)
         if diagnostic:
             lines.append(f"  last checker diagnostic: {diagnostic}")
         if detail:
             lines.append(detail)
-        return "\n".join(lines)
+        self._finish(index, outcome, attempt + 1, error="\n".join(lines),
+                     mode=mode)
+        return None
 
     # -- public API -----------------------------------------------------
-    def run(self) -> list[TaskResult]:
-        started = time.monotonic()
-        self._emit(RunStarted(total=len(self.tasks), jobs=self.config.jobs,
-                              root_seed=self.root_seed))
-        if self.config.force_serial:
-            self._run_serial(range(len(self.tasks)))
+    def run(self) -> list[JobResult]:
+        """Every job's result, in submission order."""
+        if self.policy.force_serial:
+            self._run_serial(range(len(self.jobs)))
         else:
             try:
                 self._run_pool()
             except _PoolBroken as exc:
-                self._emit(PoolDegraded(reason=str(exc)))
+                self.on_event(PoolDegraded(reason=str(exc)))
                 remaining = [i for i, r in enumerate(self._results)
                              if r is None]
                 self._run_serial(remaining)
-        results = [result for result in self._results if result is not None]
-        ok = sum(1 for result in results if result.ok)
-        self._emit(RunCompleted(
-            total=len(results), ok=ok, failed=len(results) - ok,
-            duration_s=time.monotonic() - started,
-        ))
-        return results
+        return [result for result in self._results if result is not None]
 
     # -- pool mode ------------------------------------------------------
-    def _context(self):
-        methods = multiprocessing.get_all_start_methods()
-        method = self.config.start_method or (
-            "fork" if "fork" in methods else "spawn"
-        )
-        return multiprocessing.get_context(method)
-
-    def _start_process(self, ctx, index: int, attempt: int) -> _Attempt:
-        """Launch one attempt; raises on pool-level failure."""
+    def _spawn(self, ctx, index: int, attempt: int) -> _Attempt:
+        """Launch one attempt: the only place a worker process starts."""
+        job = self.jobs[index]
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.tasks[index], self.seeds[index], attempt,
-                  self.config.shard_workers),
-            daemon=True,
+            args=(child_conn, job.fn, job.args, attempt),
         )
         process.start()
         child_conn.close()
-        now = time.monotonic()
-        deadline = (now + self.config.timeout_s
-                    if self.config.timeout_s is not None else None)
         return _Attempt(index=index, attempt=attempt, process=process,
-                        conn=parent_conn, started=now, deadline=deadline)
+                        conn=parent_conn, last_heard=time.monotonic())
 
     def _run_pool(self) -> None:
         try:
-            ctx = self._context()
+            methods = multiprocessing.get_all_start_methods()
+            ctx = multiprocessing.get_context(
+                self.policy.start_method
+                or ("fork" if "fork" in methods else "spawn"))
+            if multiprocessing.parent_process() is not None:
+                # A pool inside a worker: lead a process group so the
+                # outer pool's kill reaches this pool's workers too.
+                os.setpgid(0, 0)
         except Exception as exc:  # unknown start method, broken platform
             raise _PoolBroken(f"no multiprocessing context: {exc}") from exc
-        jobs = max(1, self.config.jobs)
-        pending = [
-            _Pending(index=i, attempt=0, ready_at=0.0)
-            for i in range(len(self.tasks))
-        ]
+        pending = [_Pending(index=i, attempt=0, ready_at=0.0)
+                   for i in range(len(self.jobs))]
         running: list[_Attempt] = []
         try:
             while pending or running:
                 now = time.monotonic()
-                # Fill free slots with due tasks (submission order).
-                while len(running) < jobs and pending:
+                # Fill free slots with due jobs (submission order).
+                while len(running) < self.workers and pending:
                     due = [p for p in pending if p.ready_at <= now]
                     if not due:
                         break
@@ -339,81 +359,80 @@ class TaskPool:
                     self._note_started(nxt.index, nxt.attempt)
                     try:
                         running.append(
-                            self._start_process(ctx, nxt.index, nxt.attempt)
-                        )
+                            self._spawn(ctx, nxt.index, nxt.attempt))
                     except Exception as exc:
                         raise _PoolBroken(
                             f"cannot start worker: {exc}"
                         ) from exc
-                progressed = self._reap(running, pending)
-                if not progressed:
+                if not self._reap(running, pending):
                     time.sleep(0.005)
         finally:
             for attempt in running:
                 self._kill(attempt)
 
     def _reap(self, running: list[_Attempt], pending: list[_Pending]) -> bool:
-        """Collect finished/overdue attempts; True if anything changed."""
+        """Pump every worker's pipe, collect finished and silent
+        attempts; True if anything changed."""
         progressed = False
-        now = time.monotonic()
         for attempt in list(running):
-            outcome = None
-            detail = ""
-            if attempt.conn.poll():
-                try:
-                    kind, payload, error = attempt.conn.recv()
-                except (EOFError, OSError):
-                    kind, payload, error = ("crashed", None,
-                                            "worker pipe closed mid-reply")
-                attempt.process.join(timeout=5)
-                if kind == "ok":
-                    self._finish(attempt.index, "ok", attempt.attempt + 1,
-                                 payload=payload)
-                    running.remove(attempt)
+            alive = attempt.process.is_alive()
+            reply = None
+            try:
+                while reply is None and attempt.conn.poll():
+                    kind, body = attempt.conn.recv()
+                    attempt.last_heard = time.monotonic()
                     progressed = True
+                    if kind == "beacon":
+                        self.on_beacon(attempt.index, body)
+                    else:
+                        reply = (kind, body)
+            except (EOFError, OSError):
+                pass  # the worker is gone; its exit code tells how
+            if reply is None:
+                silent = time.monotonic() - attempt.last_heard
+                if not alive:
+                    reply = ("crashed",
+                             f"exit code {attempt.process.exitcode}")
+                elif (self.policy.timeout_s is not None
+                      and silent > self.policy.timeout_s):
+                    reply = ("timeout",
+                             f"silent for {self.policy.timeout_s}s")
+                else:
                     continue
-                outcome = "error" if kind == "error" else "crashed"
-                detail = error or ""
-            elif not attempt.process.is_alive():
-                outcome = "crashed"
-                detail = f"exit code {attempt.process.exitcode}"
-            elif attempt.deadline is not None and now > attempt.deadline:
-                outcome = "timeout"
-                detail = f"exceeded {self.config.timeout_s}s"
-                self._kill(attempt)
-            if outcome is None:
-                continue
             running.remove(attempt)
             progressed = True
+            kind, body = reply
+            if kind == "ok":
+                self._kill(attempt, grace_s=5.0)
+                self._finish(attempt.index, "ok", attempt.attempt + 1,
+                             payload=body)
+                continue
             self._kill(attempt)
-            self._note_failure(attempt.index, attempt.attempt, outcome, detail)
-            if attempt.attempt < self.config.max_retries:
-                delay = self._backoff(attempt.attempt)
-                self._emit(TaskRetrying(
-                    task_id=self.tasks[attempt.index].task_id,
-                    attempt=attempt.attempt, reason=outcome,
-                    delay_s=delay, detail=detail,
-                ))
+            delay = self._fail(attempt.index, attempt.attempt, kind, body)
+            if delay is not None:
                 pending.append(_Pending(
                     index=attempt.index, attempt=attempt.attempt + 1,
                     ready_at=time.monotonic() + delay,
                 ))
-            else:
-                self._finish(
-                    attempt.index, outcome, attempt.attempt + 1,
-                    error=self._exhausted_error(attempt.index, outcome, detail),
-                )
         return progressed
 
     @staticmethod
-    def _kill(attempt: _Attempt) -> None:
+    def _kill(attempt: _Attempt, grace_s: float = 0.0) -> None:
+        """The one kill path: a worker and any pool it leads.
+
+        ``grace_s`` lets a worker that already replied exit by itself.
+        """
+        process = attempt.process
         try:
-            if attempt.process.is_alive():
-                attempt.process.terminate()
-                attempt.process.join(timeout=1)
-                if attempt.process.is_alive():
-                    attempt.process.kill()
-                    attempt.process.join(timeout=1)
+            process.join(timeout=grace_s)
+            try:
+                # The worker's group exists only if it ran a pool.
+                os.killpg(process.pid, signal.SIGKILL)
+            except OSError:
+                pass
+            if process.is_alive():
+                process.kill()
+            process.join(timeout=1)
         except Exception:
             pass
         try:
@@ -426,45 +445,54 @@ class TaskPool:
         """In-process execution: no crash isolation, no timeouts, but
         the same retry policy and identical payloads."""
         for index in indices:
+            job = self.jobs[index]
+            beacon = functools.partial(self.on_beacon, index)
             attempt = 0
             while True:
                 self._note_started(index, attempt)
                 try:
-                    payload = execute_task(
-                        self.tasks[index], self.seeds[index],
-                        attempt=attempt,
-                        shard_workers=self.config.shard_workers,
-                    )
+                    payload = job.fn(*job.args, attempt=attempt,
+                                     beacon=beacon)
                 except Exception as exc:
-                    detail = f"{type(exc).__name__}: {exc}"
-                    diagnostic = getattr(exc, "diagnostic", None)
-                    if diagnostic:
-                        detail = f"{diagnostic}\n{detail}"
-                    self._note_failure(index, attempt, "error", detail)
-                    if attempt < self.config.max_retries:
-                        delay = self._backoff(attempt)
-                        self._emit(TaskRetrying(
-                            task_id=self.tasks[index].task_id,
-                            attempt=attempt, reason="error",
-                            delay_s=delay, detail=detail,
-                        ))
-                        time.sleep(delay)
-                        attempt += 1
-                        continue
-                    self._finish(
-                        index, "error", attempt + 1,
-                        error=self._exhausted_error(index, "error", detail),
-                        mode="serial",
-                    )
-                    break
+                    detail = _failure_detail(exc)
+                    delay = self._fail(index, attempt, "error", detail,
+                                       mode="serial")
+                    if delay is None:
+                        break
+                    time.sleep(delay)
+                    attempt += 1
+                    continue
                 self._finish(index, "ok", attempt + 1, payload=payload,
                              mode="serial")
                 break
+
+
+@worker_entry
+def _task_job(spec: TaskSpec, seed: int, shard_workers: int, *,
+              attempt: int, beacon) -> dict:
+    """One attempt of one task; a task sends no beacons."""
+    return execute_task(spec, seed, attempt=attempt,
+                        shard_workers=shard_workers)
 
 
 def run_tasks(tasks, *, root_seed: int = 1017,
               config: RunnerConfig | None = None,
               on_event=None) -> list[TaskResult]:
     """Run ``tasks`` under ``config``; results in submission order."""
-    return TaskPool(tasks, root_seed=root_seed, config=config,
-                    on_event=on_event).run()
+    tasks = list(tasks)
+    config = config or RunnerConfig()
+    emit = on_event or (lambda event: None)
+    seeds = [task.seed if task.seed is not None
+             else derive_seed(root_seed, task.task_id) for task in tasks]
+    started = time.monotonic()
+    emit(RunStarted(total=len(tasks), jobs=config.jobs, root_seed=root_seed))
+    jobs = [Job(task.task_id, _task_job, (task, seed, config.shard_workers))
+            for task, seed in zip(tasks, seeds)]
+    outcomes = WorkerPool(jobs, workers=config.jobs, policy=config,
+                          on_event=emit).run()
+    results = [TaskResult(**vars(outcome), spec=task, seed=seed)
+               for task, seed, outcome in zip(tasks, seeds, outcomes)]
+    ok = sum(1 for result in results if result.ok)
+    emit(RunCompleted(total=len(results), ok=ok, failed=len(results) - ok,
+                      duration_s=time.monotonic() - started))
+    return results

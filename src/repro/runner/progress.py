@@ -2,7 +2,10 @@
 
 The pool never prints; it emits typed events to an ``on_event``
 callback.  The CLI installs :class:`ProgressPrinter`; tests install a
-recording callback and assert on the exact sequence.
+recording callback and assert on the exact sequence.  The per-job
+events (``Task*``, :class:`PoolDegraded`) cover every pool job: a
+sweep's tasks carry their task id, a scenario's shards carry
+``<scenario>/shard<N>``.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ class TaskFinished(RunnerEvent):
 
 @dataclass(frozen=True)
 class PoolDegraded(RunnerEvent):
-    """The worker pool failed; remaining tasks run serially in-process."""
+    """Work the pool could not finish runs serially in-process."""
 
     reason: str
 
@@ -87,25 +90,6 @@ class ShardExchangeResolved(RunnerEvent):
     exchanged_cids: int
     intents_applied: int
     stale_dropped: int
-
-
-@dataclass(frozen=True)
-class ShardWorkerRetrying(RunnerEvent):
-    """A shard worker failed; its shards rerun in a fresh process."""
-
-    scenario: str
-    shards: tuple[int, ...]
-    reason: str           #: "crashed" | "timeout" | "error"
-    attempt: int
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class ShardPoolDegraded(RunnerEvent):
-    """The shard pool gave up; remaining shards run serially."""
-
-    scenario: str
-    reason: str
 
 
 @dataclass
@@ -166,16 +150,6 @@ class ProgressPrinter:
                     f"shard(s), {event.intents_applied} merge intent(s) "
                     f"applied, {event.stale_dropped} stale dropped"
                 )
-        elif isinstance(event, ShardWorkerRetrying):
-            self._print(
-                f"  shard worker retry: shards {list(event.shards)} "
-                f"{event.reason}, attempt {event.attempt + 1}"
-            )
-        elif isinstance(event, ShardPoolDegraded):
-            self._print(
-                f"runner: shard pool degraded, rerunning "
-                f"{event.scenario} serially ({event.reason})"
-            )
         elif isinstance(event, RunCompleted):
             self._print(
                 f"runner: {event.ok}/{event.total} ok, {event.failed} failed "

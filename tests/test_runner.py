@@ -1,9 +1,10 @@
 """Unit tests for the parallel experiment runner (repro.runner).
 
-Fault-injection uses the built-in ``selftest`` task kind: crashes are
-real ``os._exit`` in a worker process, hangs are real sleeps killed by
-the watchdog — the pool code paths exercised are exactly those real
-experiments would hit.
+The pool's fault-injection cases live in ``tests/poolfaults.py`` and
+run here on task jobs built from the ``selftest`` task kind: crashes
+are real ``os._exit`` in a worker process, hangs are real sleeps
+killed by the watchdog — the pool code paths exercised are exactly
+those real experiments would hit.
 """
 
 from __future__ import annotations
@@ -14,15 +15,10 @@ import pytest
 
 from repro.runner import (
     MATRIX_ENGINES,
-    PoolDegraded,
     RunCompleted,
     RunnerConfig,
-    RunStarted,
-    TaskFinished,
-    TaskPool,
     TaskRetrying,
     TaskSpec,
-    TaskStarted,
     canonical_json,
     derive_seed,
     execute_task,
@@ -31,6 +27,7 @@ from repro.runner import (
     sanitize,
     write_artifacts,
 )
+from tests.poolfaults import DegradationCases, ExecutionCases, TaskJobs
 
 FAST_RETRY = dict(retry_backoff_s=0.02)
 
@@ -161,59 +158,12 @@ class TestSerialExecution:
         assert "injected failure" in results[0].error
 
 
-class TestPoolExecution:
-    def test_results_in_submission_order(self):
-        tasks = [
-            TaskSpec.selftest("slow", value=0, sleep_s=0.3),
-            TaskSpec.selftest("fast", value=1),
-        ]
-        results = run_tasks(tasks, config=RunnerConfig(jobs=2))
-        assert [r.payload["value"] for r in results] == [0, 1]
-        assert all(r.mode == "pool" for r in results)
+class TestPoolExecution(ExecutionCases):
+    """The pool fault suite (tests/poolfaults.py) on one-shot task jobs."""
 
-    def test_worker_crash_retried_to_success(self):
-        events = []
-        results = run_tasks(
-            [TaskSpec.selftest("crashy", mode="crash", fail_attempts=1,
-                               value=7)],
-            config=RunnerConfig(jobs=2, max_retries=2, **FAST_RETRY),
-            on_event=events.append,
-        )
-        assert results[0].ok and results[0].attempts == 2
-        retries = [e for e in events if isinstance(e, TaskRetrying)]
-        assert retries and retries[0].reason == "crashed"
-        assert results[0].payload["value"] == 7
+    kind = TaskJobs
 
-    def test_worker_crash_exhausts_retries(self):
-        results = run_tasks(
-            [TaskSpec.selftest("dead", mode="crash", fail_attempts=99)],
-            config=RunnerConfig(jobs=1, max_retries=1, **FAST_RETRY),
-        )
-        assert results[0].status == "crashed"
-        assert results[0].attempts == 2
-
-    def test_hung_worker_times_out_and_retries(self):
-        events = []
-        results = run_tasks(
-            [TaskSpec.selftest("hangy", mode="hang", fail_attempts=1,
-                               hang_s=60)],
-            config=RunnerConfig(jobs=1, timeout_s=0.5, max_retries=2,
-                                **FAST_RETRY),
-            on_event=events.append,
-        )
-        assert results[0].ok and results[0].attempts == 2
-        assert any(isinstance(e, TaskRetrying) and e.reason == "timeout"
-                   for e in events)
-
-    def test_worker_exception_reported(self):
-        results = run_tasks(
-            [TaskSpec.selftest("raiser", mode="raise", fail_attempts=99)],
-            config=RunnerConfig(jobs=1, max_retries=0, **FAST_RETRY),
-        )
-        assert results[0].status == "error"
-        assert "RuntimeError" in results[0].error
-
-    def test_event_stream_shape(self):
+    def test_run_tasks_wraps_the_stream(self):
         events = []
         run_tasks(
             [TaskSpec.selftest("a"), TaskSpec.selftest("b")],
@@ -222,41 +172,14 @@ class TestPoolExecution:
         )
         kinds = [type(e).__name__ for e in events]
         assert kinds[0] == "RunStarted" and kinds[-1] == "RunCompleted"
-        assert kinds.count("TaskStarted") == 2
-        assert kinds.count("TaskFinished") == 2
         done = [e for e in events if isinstance(e, RunCompleted)][0]
         assert done.total == 2 and done.ok == 2 and done.failed == 0
 
 
-class TestPoolDegradation:
-    def test_falls_back_to_serial_when_pool_breaks(self, monkeypatch):
-        events = []
-        pool = TaskPool(
-            [TaskSpec.selftest("s1", value=1), TaskSpec.selftest("s2", value=2)],
-            config=RunnerConfig(jobs=2, **FAST_RETRY),
-            on_event=events.append,
-        )
+class TestPoolDegradation(DegradationCases):
+    """The pool degradation cases on one-shot task jobs."""
 
-        def broken_start(ctx, index, attempt):
-            raise OSError("fork: resource temporarily unavailable")
-
-        monkeypatch.setattr(pool, "_start_process", broken_start)
-        results = pool.run()
-        assert [r.payload["value"] for r in results] == [1, 2]
-        assert all(r.mode == "serial" for r in results)
-        assert any(isinstance(e, PoolDegraded) for e in events)
-
-    def test_degraded_results_match_pool_results(self, monkeypatch):
-        tasks = [TaskSpec.selftest("x", value=3), TaskSpec.selftest("y", value=4)]
-        healthy = run_tasks(tasks, config=RunnerConfig(jobs=2))
-        pool = TaskPool(tasks, config=RunnerConfig(jobs=2))
-        monkeypatch.setattr(
-            pool, "_start_process",
-            lambda *a, **k: (_ for _ in ()).throw(OSError("no pids")),
-        )
-        degraded = pool.run()
-        assert ([r.payload for r in healthy]
-                == [r.payload for r in degraded])
+    kind = TaskJobs
 
 
 class TestArtifacts:

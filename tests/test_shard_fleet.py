@@ -5,21 +5,22 @@ with ``shards = N`` describes a NUMA-style topology whose results are
 a pure function of the spec — how many worker *processes* execute the
 shards (``--shards`` on the CLI, :class:`ShardPoolConfig.workers`)
 must never change a payload byte.  This suite pins that contract
-across the serial reference executor, the multiprocess shard pool,
-crashed/hung/retried workers, the degraded mode, sanitized runs and
-the runner task layer; plus the spec validation and ``resolve_jobs``
-satellites.
+across the serial reference executor, the worker pool running one job
+per shard (the pool fault suite of ``tests/poolfaults.py`` on shard
+jobs), sanitized runs and nested pools under the runner task layer;
+plus the spec validation and ``resolve_jobs`` satellites.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import os
 import pathlib
 import time
 
 import pytest
 
+from repro.harness import shardfleet
 from repro.harness.fleet import FLEET_PRESETS, FleetDriver
 from repro.harness.scenario import SystemConfig
 from repro.harness.shardfleet import (
@@ -27,71 +28,34 @@ from repro.harness.shardfleet import (
     run_one_shard,
     run_sharded_serial,
 )
-from repro.harness.spec import FleetSpec, ScenarioSpec, ScheduleSpec
+from repro.harness.spec import FleetSpec, ScenarioSpec
 from repro.mem.shard import ShardExchangeError
-from repro.params import MS, SECOND
 from repro.runner import (
+    PoolDegraded,
     ProgressPrinter,
+    RunnerConfig,
     ShardExchangeResolved,
     ShardPoolConfig,
-    ShardPoolDegraded,
     ShardRoundCompleted,
-    ShardWorkerRetrying,
+    TaskRetrying,
     TaskSpec,
     canonical_json,
     execute_task,
     resolve_jobs,
     run_sharded,
+    run_tasks,
 )
-from repro.runner.shardpool import ShardPool, _ShardPoolBroken
-
-
-def small_spec(shards: int = 2, engine: str = "ksm",
-               seed: int = 1017) -> ScenarioSpec:
-    return ScenarioSpec(
-        name=f"shardfleet-{engine}-{shards}",
-        system=SystemConfig(label=engine.upper(), engine=engine),
-        fleet=FleetSpec(vms=4, image_families=2, pages_per_vm=64,
-                        max_resident=2, lifetime_ns=SECOND,
-                        arrival_interval_ns=125 * MS),
-        schedule=ScheduleSpec(settle_ns=SECOND),
-        frames=2048 * shards,
-        seed=seed,
-        shards=shards,
-    )
-
-
-def payload(result) -> str:
-    return canonical_json({"samples": result.to_payload()["samples"],
-                           "totals": result.totals})
-
-
-# ---------------------------------------------------------------------------
-# Failure-injection shard functions.  Module-level so the fork-started
-# workers can pickle them by reference; coordination goes through
-# marker files under REPRO_SHARD_FAIL_DIR (set by the tests, inherited
-# by the children), because each worker is a separate process.
-# ---------------------------------------------------------------------------
-def _marker(tag: str) -> pathlib.Path:
-    return pathlib.Path(os.environ["REPRO_SHARD_FAIL_DIR"]) / tag
-
-
-def crash_once_shard_fn(spec, shard, on_round=None):
-    if shard == 1 and not _marker("crashed").exists():
-        _marker("crashed").touch()
-        os._exit(23)  # simulated segfault: no reply, bad exit code
-    return run_one_shard(spec, shard, on_round=on_round)
-
-
-def hang_once_shard_fn(spec, shard, on_round=None):
-    if shard == 1 and not _marker("hung").exists():
-        _marker("hung").touch()
-        time.sleep(3600.0)  # trips the progress watchdog
-    return run_one_shard(spec, shard, on_round=on_round)
-
-
-def always_crash_shard_fn(spec, shard, on_round=None):
-    os._exit(23)
+from tests.poolfaults import (
+    DegradationCases,
+    ExecutionCases,
+    ShardJobs,
+    needs_fork,
+    payload,
+    real_run_one_shard,
+    retry_reasons,
+    run_pool,
+    small_spec,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -263,90 +227,111 @@ class TestProgress:
         assert "shard 1 round 2" in capsys.readouterr().out
 
     def test_printer_always_reports_failures(self, capsys):
-        ProgressPrinter()(ShardWorkerRetrying(
-            scenario="s", shards=(1,), reason="crashed", attempt=0))
+        ProgressPrinter()(TaskRetrying(
+            task_id="s/shard1", attempt=0, reason="crashed", delay_s=0.25))
         assert "retry" in capsys.readouterr().out
-        ProgressPrinter()(ShardPoolDegraded(scenario="s", reason="why"))
+        ProgressPrinter()(PoolDegraded(reason="why"))
         assert "degraded" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
-# Pool failure handling
+# Pool failure handling: the shared fault suite on beaconing shard jobs
 # ---------------------------------------------------------------------------
-needs_fork = pytest.mark.skipif(
-    "fork" not in __import__("multiprocessing").get_all_start_methods(),
-    reason="failure injection rides on fork-inherited test modules",
-)
+class TestPoolFailures(ExecutionCases):
+    """The pool fault suite (tests/poolfaults.py) on shard jobs."""
+
+    kind = ShardJobs
+
+    def test_beacons_keep_a_worker_alive(self, jobs):
+        # Shard 1 takes 7 rounds x 0.3 s, far past the 1 s watchdog,
+        # but its round beacons arrive well within it.
+        events = []
+        results = run_pool(jobs.jobs("slow", 1), events, timeout_s=1.0)
+        assert (results[1].status, results[1].attempts) == ("ok", 1)
+        assert results[1].duration_s > 1.0
+        assert retry_reasons(events, jobs.faulty_id) == []
+        assert jobs.digest(results) == jobs.reference()
+
+    def test_exhausted_retries_degrade_to_serial(self, jobs):
+        # run_sharded reruns a shard that ran out of retries in-process.
+        jobs.jobs("crash", 99)
+        events = []
+        result = run_sharded(
+            jobs.spec, config=ShardPoolConfig(workers=2, max_retries=0),
+            on_event=events.append)
+        degraded = [e for e in events if isinstance(e, PoolDegraded)]
+        assert len(degraded) == 1
+        assert degraded[0].reason.startswith(f"{jobs.faulty_id} crashed")
+        assert payload(result) == jobs.reference()
+
+
+class TestDegradedModes(DegradationCases):
+    """The pool degradation cases on shard jobs."""
+
+    kind = ShardJobs
+
+
+# ---------------------------------------------------------------------------
+# Nested pools: a sharded fleet task under ``repro run --shards N``
+# ---------------------------------------------------------------------------
+def recording_shard(marker_dir: str, hang: bool, spec, shard, on_round=None):
+    """``run_one_shard`` that leaves ``<pid>-<ppid>`` behind, then
+    either runs the shard or hangs silently."""
+    (pathlib.Path(marker_dir) / f"{os.getpid()}-{os.getppid()}").touch()
+    if hang:
+        time.sleep(60)
+    return real_run_one_shard(spec, shard, on_round=on_round)
+
+
+def shard_processes(marker_dir) -> list[tuple[int, int]]:
+    return sorted({tuple(int(part) for part in path.name.split("-"))
+                   for path in pathlib.Path(marker_dir).iterdir()})
+
+
+def alive(pid: int) -> bool:
+    """Whether ``pid`` still runs (a zombie awaiting its reaper does not)."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 @needs_fork
-class TestPoolFailures:
-    def test_crashed_worker_is_retried(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_FAIL_DIR", str(tmp_path))
-        spec = small_spec(shards=2)
-        events = []
-        result = run_sharded(
-            spec,
-            config=ShardPoolConfig(workers=2, start_method="fork"),
-            on_event=events.append, shard_fn=crash_once_shard_fn)
-        retries = [e for e in events if isinstance(e, ShardWorkerRetrying)]
-        assert [event.reason for event in retries] == ["crashed"]
-        assert retries[0].shards == (1,)
-        assert not any(isinstance(e, ShardPoolDegraded) for e in events)
-        assert payload(result) == payload(run_sharded_serial(spec))
+class TestNestedShards:
+    def test_task_worker_runs_its_shards_in_workers(self, tmp_path,
+                                                    monkeypatch):
+        task = TaskSpec.fleet("smoke-sharded", "ksm")
+        serial = run_tasks([task], config=RunnerConfig(jobs=1))
+        monkeypatch.setattr(shardfleet, "run_one_shard", functools.partial(
+            recording_shard, str(tmp_path), False))
+        pooled = run_tasks([task], config=RunnerConfig(
+            jobs=1, shard_workers=2))
+        assert pooled[0].ok, pooled[0].error
+        assert canonical_json(pooled[0].payload) \
+            == canonical_json(serial[0].payload)
+        processes = shard_processes(tmp_path)
+        # Four shards ran in at least two processes, all children of the
+        # one task worker, which is itself not this process.
+        assert len(processes) >= 2
+        parents = {ppid for _, ppid in processes}
+        assert len(parents) == 1 and os.getpid() not in parents
+        assert not parents & {pid for pid, _ in processes}
 
-    def test_hung_worker_trips_watchdog(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_FAIL_DIR", str(tmp_path))
-        spec = small_spec(shards=2)
-        events = []
-        result = run_sharded(
-            spec,
-            config=ShardPoolConfig(workers=2, timeout_s=1.0,
-                                   retry_backoff_s=0.05,
-                                   start_method="fork"),
-            on_event=events.append, shard_fn=hang_once_shard_fn)
-        retries = [e for e in events if isinstance(e, ShardWorkerRetrying)]
-        assert [event.reason for event in retries] == ["timeout"]
-        assert payload(result) == payload(run_sharded_serial(spec))
-
-    def test_exhausted_retries_degrade_to_serial(self, monkeypatch):
-        spec = small_spec(shards=2)
-        events = []
-        result = run_sharded(
-            spec,
-            config=ShardPoolConfig(workers=2, max_retries=0,
-                                   start_method="fork"),
-            on_event=events.append, shard_fn=always_crash_shard_fn)
-        degraded = [e for e in events if isinstance(e, ShardPoolDegraded)]
-        assert len(degraded) == 1
-        assert "kept failing" in degraded[0].reason
-        assert payload(result) == payload(run_sharded_serial(spec))
-
-    def test_pool_itself_raises_when_budget_exhausted(self):
-        pool = ShardPool(small_spec(shards=2),
-                         config=ShardPoolConfig(workers=2, max_retries=0,
-                                                start_method="fork"),
-                         shard_fn=always_crash_shard_fn)
-        with pytest.raises(_ShardPoolBroken, match="kept failing"):
-            pool.run()
-
-
-class TestDegradedModes:
-    def test_unbuildable_pool_degrades(self):
-        spec = small_spec(shards=2)
-        events = []
-        result = run_sharded(
-            spec,
-            config=ShardPoolConfig(workers=2, start_method="bogus"),
-            on_event=events.append)
-        assert any(isinstance(e, ShardPoolDegraded) for e in events)
-        assert payload(result) == payload(run_sharded_serial(spec))
-
-    def test_force_serial_skips_the_pool(self):
-        spec = small_spec(shards=2)
-        result = run_sharded(spec, config=ShardPoolConfig(
-            workers=8, force_serial=True))
-        assert payload(result) == payload(run_sharded_serial(spec))
+    def test_watchdog_kill_leaves_no_grandchild(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(shardfleet, "run_one_shard", functools.partial(
+            recording_shard, str(tmp_path), True))
+        results = run_tasks(
+            [TaskSpec.fleet("smoke-sharded", "ksm")],
+            config=RunnerConfig(jobs=1, shard_workers=2, timeout_s=2.0,
+                                max_retries=0))
+        assert results[0].status == "timeout"
+        grandchildren = [pid for pid, _ in shard_processes(tmp_path)]
+        assert len(grandchildren) == 2
+        deadline = time.monotonic() + 5.0
+        while any(map(alive, grandchildren)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(alive, grandchildren))
 
 
 # ---------------------------------------------------------------------------

@@ -345,7 +345,7 @@ class TestMem003ScanLoops:
 class TestLay001Layering:
     def test_kernel_must_not_import_runner(self):
         findings = lint(
-            "from repro.runner.pool import TaskPool\n",
+            "from repro.runner.pool import WorkerPool\n",
             "repro.kernel.kernel", ["LAY001"],
         )
         assert rule_ids(findings) == ["LAY001"]
@@ -381,7 +381,7 @@ class TestLay001Layering:
 
     def test_other_runner_modules_still_forbidden_from_harness(self):
         findings = lint(
-            "from repro.runner.pool import TaskPool\n",
+            "from repro.runner.pool import WorkerPool\n",
             "repro.harness.fleet", ["LAY001"],
         )
         assert rule_ids(findings) == ["LAY001"]

@@ -70,19 +70,13 @@ MUTANTS = [
         [(
             "        process = ctx.Process(\n"
             "            target=_worker_main,\n"
-            "            args=(child_conn, self.tasks[index], "
-            "self.seeds[index], attempt,\n"
-            "                  self.config.shard_workers),\n"
-            "            daemon=True,\n"
+            "            args=(child_conn, job.fn, job.args, attempt),\n"
             "        )\n"
             "        process.start()\n",
-            "        payload = [child_conn, self.tasks[index], "
-            "self.seeds[index], attempt,\n"
-            "                   self.config.shard_workers]\n"
+            "        payload = [child_conn, job.fn, job.args, attempt]\n"
             "        process = ctx.Process(\n"
             "            target=_worker_main,\n"
             "            args=payload,\n"
-            "            daemon=True,\n"
             "        )\n"
             "        process.start()\n"
             "        payload.append(time.monotonic())\n",
@@ -110,11 +104,12 @@ MUTANTS = [
     pytest.param(
         POOL,
         [(
-            "        results = [result for result in self._results "
+            "        return [result for result in self._results "
             "if result is not None]\n",
             "        completed = {result for result in self._results "
             "if result is not None}\n"
-            "        results = list(completed)\n",
+            "        results = list(completed)\n"
+            "        return results\n",
         )],
         "RACE002",
         id="pool-run-freezes-results-through-a-set",
@@ -179,11 +174,9 @@ MUTANTS = [
     pytest.param(
         POOL,
         [(
-            "        payload = execute_task(spec, seed, attempt=attempt,\n"
-            "                               shard_workers=shard_workers)\n"
-            "        conn.send((\"ok\", payload, None))\n",
-            "        payload = execute_task(spec, seed, attempt=attempt,\n"
-            "                               shard_workers=shard_workers)\n"
+            "        payload = fn(*args, attempt=attempt, beacon=beacon)\n"
+            "        conn.send((\"ok\", payload))\n",
+            "        payload = fn(*args, attempt=attempt, beacon=beacon)\n"
             "        trace = open(\"/dev/null\", \"w\")\n"
             "        conn.send((\"ok\", payload, trace))\n",
         )],
@@ -194,13 +187,9 @@ MUTANTS = [
         POOL,
         [(
             "            target=_worker_main,\n"
-            "            args=(child_conn, self.tasks[index], "
-            "self.seeds[index], attempt,\n"
-            "                  self.config.shard_workers),\n",
+            "            args=(child_conn, job.fn, job.args, attempt),\n",
             "            target=lambda: _worker_main(\n"
-            "                child_conn, self.tasks[index], "
-            "self.seeds[index], attempt,\n"
-            "                self.config.shard_workers\n"
+            "                child_conn, job.fn, job.args, attempt\n"
             "            ),\n",
         )],
         "RACE004",
