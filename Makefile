@@ -19,14 +19,13 @@ test:
 sanitize:
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q
 
-## bench: perf gates (scan/physmem throughput, scan pass, lint,
-## fleet scale, shard parallel efficiency).  REPRO_FLEET_TIER=smoke trims
+## bench: perf gates (scan/physmem throughput, lint, fleet scale,
+## shard parallel efficiency).  REPRO_FLEET_TIER=smoke trims
 ## the fleet curves to the 20k tier (what CI runs); unset runs
 ## 20k/100k/500k.
 bench:
 	$(PYTHON) -m pytest -x -q -s benchmarks/test_scan_throughput.py \
 	    benchmarks/test_physmem_ops.py \
-	    benchmarks/test_scan_pass.py \
 	    benchmarks/test_lint_throughput.py \
 	    benchmarks/test_fleet_scale.py \
 	    benchmarks/test_shard_scaling.py

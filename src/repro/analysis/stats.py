@@ -5,30 +5,25 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 
-# SciPy ships with the `repro[fast]` extra; only the two KS helpers
-# below need it, and they are exercised by the Fig. 5/6 benchmarks,
-# never by tier-1.  The guard keeps the whole analysis package (and
-# everything importing it) usable on a dependency-free install.
-try:
-    from scipy import stats as scipy_stats
 
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised by the no-NumPy CI leg
-    scipy_stats = None
-    HAVE_SCIPY = False
-
-
+# SciPy is the one third-party package repro uses (the `repro[stats]`
+# extra), and only the two KS helpers below need it.  They import it
+# at call time, so importing repro or running a simulation never
+# loads it.
 def _require_scipy():
-    if scipy_stats is None:
+    """``scipy.stats``, or a RuntimeError naming the extra."""
+    try:
+        from scipy import stats
+    except ImportError:
         raise RuntimeError(
-            "KS statistics require SciPy; install the repro[fast] extra"
-        )
+            "KS statistics require SciPy; install the repro[stats] extra"
+        ) from None
+    return stats
 
 
 def ks_2samp_pvalue(sample_a, sample_b) -> float:
     """Two-sample Kolmogorov-Smirnov p-value (Fig. 6's SB check)."""
-    _require_scipy()
-    result = scipy_stats.ks_2samp(sample_a, sample_b)
+    result = _require_scipy().ks_2samp(sample_a, sample_b)
     return float(result.pvalue)
 
 
@@ -36,9 +31,9 @@ def ks_uniform_pvalue(values, low: float, high: float) -> float:
     """KS goodness-of-fit against Uniform[low, high) (the RA check)."""
     if high <= low:
         raise ValueError("empty interval")
-    _require_scipy()
+    stats = _require_scipy()
     scaled = [(v - low) / (high - low) for v in values]
-    result = scipy_stats.kstest(scaled, "uniform")
+    result = stats.kstest(scaled, "uniform")
     return float(result.pvalue)
 
 
@@ -71,10 +66,12 @@ def distribution_summary(values) -> DistributionSummary:
     """Summary plus a cluster count (bimodality detector).
 
     ``modes`` counts well-separated clusters: the sorted sample is
-    split wherever consecutive values gap by more than a quarter of
-    the full range.  KSM's write timings split into two clusters (the
-    plain-store and copy-on-write peaks of Fig. 5); VUsion's reads form
-    one (Fig. 6).
+    split wherever a positive value is followed by one more than 50%
+    above it.  The jump is relative to the previous value, not to the
+    full range, so a few-percent gap between close peaks (4746 vs
+    4841 cycles, a DRAM row hit vs miss) stays one mode.  KSM's write
+    timings split into two clusters (the plain-store and copy-on-write
+    peaks of Fig. 5); VUsion's reads form one (Fig. 6).
     """
     ordered = sorted(values)
     span = ordered[-1] - ordered[0]
@@ -82,7 +79,7 @@ def distribution_summary(values) -> DistributionSummary:
     if span > 0:
         for previous, current in zip(ordered, ordered[1:]):
             # A cluster boundary is a relative jump: the next value is
-            # at least 50% above the previous one (and not just noise).
+            # more than 50% above the previous one (and not just noise).
             if previous > 0 and current - previous > 0.5 * previous:
                 modes += 1
     return DistributionSummary(

@@ -380,111 +380,6 @@ register(Rule(
 
 
 # ----------------------------------------------------------------------
-# MEM003 — per-frame Python reductions in engine scan paths
-# ----------------------------------------------------------------------
-#: Per-frame PhysicalMemory accessors with a batch scan-kernel
-#: equivalent (repro.mem.scankernel primitive named in the message).
-_SCAN_KERNEL_EQUIVALENTS = {
-    "refcount": "physmem.scan_kernel.refcount_sum(pfns)",
-    "is_fused": "physmem.scan_kernel.any_fused(pfns)",
-    "digest": "physmem.digests_many(pfns)",
-    "generation": "physmem.scan_kernel.changed_since(pfns, snapshot)",
-    "merge_key": "physmem.scan_kernel.group_by_content(pfns)",
-}
-
-_REDUCERS = {"sum", "any", "all"}
-
-
-class _ScanLoopVisitor(ast.NodeVisitor):
-    """Flags frame-at-a-time Python where a batch primitive exists.
-
-    Two shapes: reductions (``sum``/``any``/``all``) over a
-    comprehension whose element calls a per-frame accessor, and loops
-    iterating ``mapped_frames()`` directly.  Both are interpreter-bound
-    sweeps an engine performs once per scan pass or sample — the exact
-    work :mod:`repro.mem.scankernel` vectorizes.
-    """
-
-    def __init__(self, ctx: "LintContext") -> None:
-        self.ctx = ctx
-
-    @staticmethod
-    def _per_frame_accessor(tree: ast.AST) -> str | None:
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _SCAN_KERNEL_EQUIVALENTS
-            ):
-                return node.func.attr
-        return None
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if (
-            isinstance(node.func, ast.Name)
-            and node.func.id in _REDUCERS
-            and node.args
-            and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))
-        ):
-            accessor = self._per_frame_accessor(node.args[0].elt)
-            if accessor is not None:
-                self.ctx.report(
-                    "MEM003", node,
-                    f"{node.func.id}(...) over per-frame .{accessor}() calls "
-                    "is an interpreter-bound sweep; use the batch primitive "
-                    f"{_SCAN_KERNEL_EQUIVALENTS[accessor]}",
-                )
-        self.generic_visit(node)
-
-    def _check_iter(self, iterator: ast.AST) -> None:
-        if (
-            isinstance(iterator, ast.Call)
-            and isinstance(iterator.func, ast.Attribute)
-            and iterator.func.attr == "mapped_frames"
-        ):
-            self.ctx.report(
-                "MEM003", iterator,
-                "frame-at-a-time loop over mapped_frames(); batch the "
-                "sweep through physmem.scan_kernel (zero_frames / "
-                "group_by_content / digest_sweep) instead",
-            )
-
-    def visit_For(self, node: ast.For) -> None:
-        self._check_iter(node.iter)
-        self.generic_visit(node)
-
-    def _visit_comprehension(self, node) -> None:
-        for generator in node.generators:
-            self._check_iter(generator.iter)
-        self.generic_visit(node)
-
-    visit_ListComp = _visit_comprehension
-    visit_SetComp = _visit_comprehension
-    visit_GeneratorExp = _visit_comprehension
-    visit_DictComp = _visit_comprehension
-
-
-register(Rule(
-    id="MEM003",
-    severity="error",
-    summary="engine scan paths batch frame sweeps through the scan "
-            "kernel, not per-frame Python loops",
-    rationale=(
-        "A fusion engine asking a per-frame question N times from "
-        "Python pays N method dispatches where the scan kernel answers "
-        "once from the cid/generation/refcount columns (NumPy when "
-        "available, array-module otherwise). At fleet scale the "
-        "interpreter overhead dominates the simulation; "
-        "tests/test_scan_kernel_differential.py proves the batch "
-        "primitives are observation-equivalent, so there is no reason "
-        "to keep scalar sweeps in repro.fusion or repro.core."
-    ),
-    checker=_ScanLoopVisitor,
-    applies_to=_in_packages("repro.fusion", "repro.core"),
-))
-
-
-# ----------------------------------------------------------------------
 # LAY001 — import layering
 # ----------------------------------------------------------------------
 #: package prefix -> import prefixes it must never depend on (checked

@@ -386,8 +386,8 @@ class Vusion(FusionEngine):
         return sorted(self._nodes_by_pfn)
 
     def sharing_pairs(self) -> tuple[int, int]:
-        # One scan-kernel reduction over the stable pfns; monitors
-        # sample this every tick, so it must not loop in Python.
+        # One scan-kernel reduction over the stable pfns (monitors
+        # sample this every tick).
         pages_shared = len(self._nodes_by_pfn)
         pages_sharing = (
             self.kernel.physmem.scan_kernel.refcount_sum(self._nodes_by_pfn)

@@ -169,9 +169,8 @@ class MemoryCombining(FusionEngine):
         kernel = self.kernel
         physmem = kernel.physmem
         if physmem.scan_kernel.is_zero_frame(pfn):
-            # The canonical zero payload (reads identically from both
-            # stores), without touching payload storage on the batch
-            # kernel — zero pages are the bulk of an idle eviction
+            # The canonical zero payload, without touching payload
+            # storage — zero pages are the bulk of an idle eviction
             # sweep.
             content = ZERO_PAGE
         else:

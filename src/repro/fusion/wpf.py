@@ -149,13 +149,12 @@ class WindowsPageFusion(FusionEngine):
         sequential page-table walk collects (and charges) every
         candidate, then one scan-kernel
         :meth:`~repro.mem.scankernel.BatchScanKernel.group_by_content` call
-        buckets the batch by content identity — a vectorized pass over
-        the cid column on the batch kernel, the classic ``merge_key``
-        loop on the scalar reference; either way the partition (and
-        its encounter order) is exactly the group-by-content of the
-        original one-page-at-a-time implementation.  The returned
-        ``digests`` map serves the per-content hash from the frame
-        fingerprint cache, one batch lookup per unique content.
+        buckets the batch by content identity in one pass over the cid
+        column; the partition (and its encounter order) is exactly the
+        group-by-content of the original one-page-at-a-time
+        implementation.  The returned ``digests`` map serves the
+        per-content hash from the frame fingerprint cache, one batch
+        lookup per unique content.
         """
         kernel = self.kernel
         physmem = kernel.physmem

@@ -60,8 +60,7 @@ class ZeroPageFusion(FusionEngine):
             return
         pfn = walk.frame_for(vaddr)
         # The scan kernel's zero probe: an integer compare against the
-        # zero content id on the batch kernel, is_zero(read(pfn)) on
-        # the scalar reference.
+        # zero content id, with no payload read.
         if pfn == self._zero_frame or not kernel.physmem.scan_kernel.is_zero_frame(pfn):
             return
         if walk.huge:

@@ -11,21 +11,15 @@ from repro.mem.content import (
     random_content,
 )
 from repro.mem.physmem import FrameType, PhysicalMemory
-from repro.mem.scankernel import (
-    BatchScanKernel,
-    HAVE_NUMPY,
-    ScalarScanKernel,
-)
+from repro.mem.scankernel import BatchScanKernel
 
 __all__ = [
     "BatchScanKernel",
     "BuddyAllocator",
     "ContentArena",
     "FrameType",
-    "HAVE_NUMPY",
     "PageContent",
     "PhysicalMemory",
-    "ScalarScanKernel",
     "ZERO_ID",
     "ZERO_PAGE",
     "content_digest",

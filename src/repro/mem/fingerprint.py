@@ -117,9 +117,8 @@ class FingerprintCache:
         self.stats = FingerprintStats()
         #: Bumped once per mutation of any frame.
         self.mutation_epoch = 0
-        #: Per-frame generation counters in a fixed-size signed-64
-        #: column (never reallocated), so the batch scan kernel can
-        #: hold a zero-copy view for generation-delta filtering.
+        #: Per-frame generation counters in a compact fixed-size
+        #: signed-64 column (never reallocated).
         self._generations = array("q", bytes(8 * num_frames))
         self._arena = arena
         self._cids = cids

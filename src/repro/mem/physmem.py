@@ -20,8 +20,8 @@ On top of the content column sit O(1) accounting structures — a
 
 Batch queries over many frames (zero sweeps, duplicate grouping,
 digest sweeps) go through :attr:`PhysicalMemory.scan_kernel`, a
-:class:`~repro.mem.scankernel.BatchScanKernel` vectorized over the
-content column.
+:class:`~repro.mem.scankernel.BatchScanKernel` over the content
+column.
 """
 
 from __future__ import annotations
@@ -76,12 +76,12 @@ class PhysicalMemory:
         #: Content id per frame.  Each frame holds exactly one arena
         #: reference on its current id — including FREE frames, which
         #: keep their last payload alive for diagnostic reads
-        #: (:meth:`peek_content`).  Fixed-size like the refcount column,
-        #: so the batch scan kernel can hold a zero-copy view over it.
+        #: (:meth:`peek_content`).  Fixed-size like the refcount column
+        #: (never reallocated), so the batch scan kernel can keep a
+        #: reference to it.
         self._cids = array("q", [ZERO_ID]) * num_frames
         self.arena._retain(ZERO_ID, num_frames)
-        #: A fixed-size signed-64 column (never reallocated) so the
-        #: batch scan kernel can hold a zero-copy view over it.
+        #: A compact fixed-size signed-64 column (never reallocated).
         self._refcount = array("q", bytes(8 * num_frames))
         self._types: list[FrameType] = [FrameType.FREE] * num_frames
         self._rmap: dict[int, set[tuple[int, int]]] = {}
@@ -267,9 +267,8 @@ class PhysicalMemory:
         """Digests for many frames in one pass.
 
         Behaviourally ``[digest(pfn) for pfn in pfns]``; duplicate
-        content ids in the batch collapse to a single cache probe each
-        and the column indexing is vectorized, with hit/miss stats
-        matching the per-frame path exactly.
+        content ids in the batch collapse to a single cache probe each,
+        with hit/miss stats matching the per-frame path exactly.
         """
         return self.scan_kernel.digest_sweep(pfns)
 
@@ -279,8 +278,8 @@ class PhysicalMemory:
         Duplicate digests among ``pfns`` collapse to their minimal pfn
         with mapper counts (refcounts) summed — exactly the canonical
         form :meth:`repro.mem.shard.ShardContentTable.build` would
-        produce, computed here in one :meth:`digests_many` sweep so the
-        batch scan kernel vectorizes the digest pass.
+        produce, computed here in one :meth:`digests_many` sweep (one
+        digest probe per unique content).
         """
         ordered = sorted(set(pfns))
         rows: dict[int, tuple[int, int]] = {}

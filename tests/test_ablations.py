@@ -11,7 +11,7 @@ import pytest
 
 scipy_stats = pytest.importorskip(
     "scipy.stats",
-    reason="KS ablation checks need the repro[fast] extra",
+    reason="KS ablation checks need the repro[stats] extra",
     exc_type=ImportError,
 )
 

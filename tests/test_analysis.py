@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.metrics import count_huge_pages, fused_page_breakdown, take_sample
 from repro.analysis.report import format_series, format_table
 from repro.analysis.stats import (
-    HAVE_SCIPY,
     distribution_summary,
     histogram,
     ks_2samp_pvalue,
@@ -21,12 +20,8 @@ from tests.conftest import dup, fast_fusion, small_spec
 
 
 class TestStats:
-    needs_scipy = pytest.mark.skipif(
-        not HAVE_SCIPY, reason="SciPy not installed"
-    )
-
-    @needs_scipy
     def test_ks_same_distribution(self):
+        pytest.importorskip("scipy.stats")
         import random
 
         rng = random.Random(1)
@@ -34,22 +29,22 @@ class TestStats:
         b = [rng.gauss(100, 10) for _ in range(200)]
         assert ks_2samp_pvalue(a, b) > 0.05
 
-    @needs_scipy
     def test_ks_different_distribution(self):
+        pytest.importorskip("scipy.stats")
         a = [100.0] * 100
         b = [500.0] * 100
         assert ks_2samp_pvalue(a, b) < 0.001
 
-    @needs_scipy
     def test_ks_uniform_accepts_uniform(self):
+        pytest.importorskip("scipy.stats")
         import random
 
         rng = random.Random(2)
         values = [rng.uniform(10, 20) for _ in range(500)]
         assert ks_uniform_pvalue(values, 10, 20) > 0.05
 
-    @needs_scipy
     def test_ks_uniform_rejects_clustered(self):
+        pytest.importorskip("scipy.stats")
         values = [10.1] * 200
         assert ks_uniform_pvalue(values, 10, 20) < 0.001
 

@@ -8,10 +8,11 @@ from repro.errors import FusionError, InvalidFrameError
 from repro.fusion.base import FusionEngine, FusionStats, ScanCursor
 from repro.kernel.kernel import Kernel
 from repro.mem.content import ZERO_PAGE, tagged_content
-from repro.mem.scankernel import BatchScanKernel, ScalarScanKernel
+from repro.mem.scankernel import BatchScanKernel
 from repro.params import PAGE_SIZE
 
 from tests.conftest import small_spec
+from tests.scan_oracle import ScalarScanKernel
 
 
 class TestScanCursor:

@@ -1,12 +1,11 @@
 """Differential proof that the batch scan kernel is transparent.
 
 The batch kernel changes *how* scan-pass questions are answered
-(vectorized sweeps over the cid / generation / refcount columns
-instead of per-frame Python loops) but must not change a single
-observable of the simulation: simulated time, merge behaviour, attack
-verdicts and runner artifacts have to be byte-identical to the scalar
-reference loops.  Same discipline as
-``tests/test_store_differential.py``, four layers:
+(sweeps over the content-id column instead of per-frame accessor
+calls) but must not change a single observable of the simulation:
+simulated time, merge behaviour, attack verdicts and runner artifacts
+have to be byte-identical to the scalar reference loops.  Same
+discipline as ``tests/test_store_differential.py``, four layers:
 
 * lockstep primitive sequences over randomized frame traffic,
   comparing every scan-kernel answer (and every
@@ -23,7 +22,7 @@ reference loops.  Same discipline as
 
 Every ``PhysicalMemory`` builds a :class:`BatchScanKernel`; the scalar
 side of each pair swaps in the :class:`ScalarScanKernel` reference
-(see :func:`use_kernel`).
+from ``tests/scan_oracle.py`` (see :func:`use_kernel`).
 
 The mutation meta-test (``tests/test_scan_kernel_mutations.py``)
 plants boundary bugs into the kernel source and checks this suite's
@@ -38,10 +37,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.kernel.kernel import Kernel
 from repro.mem.content import tagged_content
 from repro.mem.physmem import PhysicalMemory
-from repro.mem.scankernel import ScalarScanKernel
 from repro.params import MS, MachineSpec, PAGE_SIZE
 from repro.runner import canonical_json, execute_task
 
+from tests.scan_oracle import ScalarScanKernel
 from tests.test_fingerprint_differential import ENGINES
 from tests.test_store_differential import (
     RUNNER_TASKS,
@@ -250,7 +249,7 @@ def test_runner_artifacts_byte_identical(task_name, monkeypatch):
     )
     if spec.kind == "attack":
         # The Table 1 verdict itself, called out explicitly: attack
-        # outcomes cannot depend on how the scan loop is vectorized.
+        # outcomes cannot depend on which kernel answers the scan loop.
         assert payloads["scalar"]["success"] == payloads["batch"]["success"]
         assert (
             payloads["scalar"]["mitigated_by"]

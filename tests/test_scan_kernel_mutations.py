@@ -14,7 +14,7 @@ pfn 0 (catches ``pfn and ...`` truthiness slips), first-encounter
 group order differs from ascending cid order (catches bucket-ordering
 bugs), a probed content's digest has the top bit set (catches signed
 64-bit truncation), and out-of-range pfns sit exactly at
-``num_frames`` (catches ``>=`` vs ``>`` bounds slips).
+``num_frames`` (catches ``<`` vs ``<=`` bounds slips).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import pytest
 from repro.errors import InvalidFrameError
 from repro.mem.content import ZERO_PAGE, content_digest, tagged_content
 from repro.mem.physmem import PhysicalMemory
-from repro.mem.scankernel import HAVE_NUMPY
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCANKERNEL = REPO_ROOT / "src" / "repro" / "mem" / "scankernel.py"
@@ -35,8 +34,8 @@ SCANKERNEL = REPO_ROOT / "src" / "repro" / "mem" / "scankernel.py"
 NUM_FRAMES = 12
 
 #: A probed content whose 64-bit digest has the sign bit set, so a
-#: mutant that narrows the digest column to int64 must either wrap or
-#: overflow.  The search is deterministic (blake2b of tagged pages).
+#: mutant that narrows digests to signed 64-bit values must either
+#: wrap or overflow.  The search is deterministic (blake2b of tagged pages).
 HIGH_TAG = next(
     tag
     for tag in range(1, 64)
@@ -72,7 +71,7 @@ def build_probe_machine() -> PhysicalMemory:
 
 def expect_invalid(probe, *batch) -> str:
     """What a bounds probe raises — the *type* is part of the contract
-    (``InvalidFrameError``, never a bare ``IndexError`` from NumPy)."""
+    (``InvalidFrameError``, never a bare ``IndexError`` from a column)."""
     try:
         probe(*batch)
         return "no-error"
@@ -92,7 +91,6 @@ def kernel_signature(kernel, physmem: PhysicalMemory) -> tuple:
     generations = kernel.generation_snapshot(PROBE_PFNS)
     bumped = [recorded + 1 for recorded in generations]
     return (
-        kernel.backend,
         [kernel.is_zero_frame(pfn) for pfn in (0, 4, 9)],
         kernel.zero_frames(PROBE_PFNS),
         list(kernel.group_by_content(PROBE_PFNS).values()),
@@ -116,22 +114,9 @@ def kernel_signature(kernel, physmem: PhysicalMemory) -> tuple:
 
 
 def module_signature(module) -> tuple:
-    """Signatures of every batch backend the module can build."""
-    signatures = []
+    """Signature of the module's kernel over a fresh probe machine."""
     physmem = build_probe_machine()
-    signatures.append(
-        ("array", kernel_signature(
-            module.BatchScanKernel(physmem, use_numpy=False), physmem
-        ))
-    )
-    if module.HAVE_NUMPY:
-        physmem = build_probe_machine()
-        signatures.append(
-            ("numpy", kernel_signature(
-                module.BatchScanKernel(physmem, use_numpy=True), physmem
-            ))
-        )
-    return tuple(signatures)
+    return kernel_signature(module.BatchScanKernel(physmem), physmem)
 
 
 def run_probe(module) -> tuple:
@@ -161,61 +146,46 @@ def mutate(old: str, new: str) -> str:
     return source.replace(old, new, 1)
 
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
-
 MUTANTS = [
     pytest.param(
-        "mask = self._cid_column()[arr] == ZERO_ID",
-        "mask = self._cid_column()[arr] == ZERO_ID + 1",
-        marks=needs_numpy,
-        id="numpy-zero-mask-wrong-sentinel",
-    ),
-    pytest.param(
-        "            if cids[pfn] == ZERO_ID:\n                out.append(pfn)",
-        "            if pfn and cids[pfn] == ZERO_ID:\n"
-        "                out.append(pfn)",
+        "if cid == ZERO_ID]",
+        "if pfn and cid == ZERO_ID]",
         id="fallback-zero-sweep-drops-pfn-zero",
     ),
+    # Groups keyed in ascending cid order instead of first encounter.
     pytest.param(
-        "members = order[start:start + count].tolist()",
-        "members = order[start:start + count - 1].tolist()",
-        marks=needs_numpy,
-        id="numpy-group-slice-off-by-one",
+        "        return groups\n",
+        "        return dict(sorted(groups.items()))\n",
+        id="group-order",
     ),
+    # Each group loses its first member.
     pytest.param(
-        "buckets.sort()",
-        "buckets.sort(key=lambda bucket: bucket[1])",
-        marks=needs_numpy,
-        id="numpy-group-order-by-cid-not-first-encounter",
+        "groups[key] = [index]",
+        "groups[key] = []",
+        id="group-member",
     ),
+    # Every sweep frame counted as a hit, misses included.
     pytest.param(
-        "stats.digest_hits += len(arr) - misses",
-        "stats.digest_hits += len(arr)",
-        marks=needs_numpy,
-        id="numpy-digest-hit-accounting-ignores-misses",
+        "stats.digest_hits += len(out) - misses",
+        "stats.digest_hits += len(out)",
+        id="digest-hits",
     ),
+    # An ordered compare misses a snapshot ahead of the live column.
     pytest.param(
-        "return arr[self._gen_column()[arr] != recorded].tolist()",
-        "return arr[self._gen_column()[arr] > recorded].tolist()",
-        marks=needs_numpy,
-        id="numpy-changed-since-ordered-compare",
+        "if generation(pfn) != recorded",
+        "if generation(pfn) > recorded",
+        id="changed-gt",
     ),
+    # pfn == num_frames slips past the bound into the column.
     pytest.param(
-        "int(arr.max()) >= self.physmem.num_frames",
-        "int(arr.max()) > self.physmem.num_frames",
-        marks=needs_numpy,
-        id="numpy-bounds-check-off-by-one",
+        "if not 0 <= pfn < num_frames:",
+        "if not 0 <= pfn <= num_frames:",
+        id="pfn-bound",
     ),
     pytest.param(
         "return not self.physmem._fusion_pinned.isdisjoint(pfns)",
         "return self.physmem._fusion_pinned.isdisjoint(pfns)",
         id="any-fused-polarity-inverted",
-    ),
-    pytest.param(
-        "values = np.empty(unique.size, dtype=np.uint64)",
-        "values = np.empty(unique.size, dtype=np.int64)",
-        marks=needs_numpy,
-        id="numpy-digest-column-signed-truncation",
     ),
 ]
 

@@ -1,10 +1,9 @@
 """Property tests for the batch scan-kernel primitives.
 
 Hypothesis drives randomized frame states and query batches through
-the three implementations of every primitive — the scalar reference,
-the NumPy batch path, and the pure-``array`` fallback — and pins them
-element-for-element.  On top of cross-implementation equality, each
-primitive is checked against an independent model:
+both implementations of every primitive — the batch kernel and the
+per-frame reference oracle (``tests/scan_oracle.py``) — and checks
+each against an independent model:
 
 * **zero sweep** is the order-preserving subsequence of zero frames;
 * **duplicate grouping** is a partition (multiset model: the group
@@ -24,11 +23,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mem.content import ZERO_PAGE, content_digest, tagged_content
 from repro.mem.physmem import PhysicalMemory
-from repro.mem.scankernel import (
-    HAVE_NUMPY,
-    BatchScanKernel,
-    ScalarScanKernel,
-)
+from repro.mem.scankernel import BatchScanKernel
+
+from tests.scan_oracle import ScalarScanKernel
 
 NUM_FRAMES = 32
 
@@ -52,14 +49,8 @@ def build_machine(writes) -> PhysicalMemory:
 
 
 def kernels(physmem: PhysicalMemory) -> list:
-    """Every available implementation over the same machine."""
-    implementations = [
-        ScalarScanKernel(physmem),
-        BatchScanKernel(physmem, use_numpy=False),
-    ]
-    if HAVE_NUMPY:
-        implementations.append(BatchScanKernel(physmem, use_numpy=True))
-    return implementations
+    """Both implementations over the same machine."""
+    return [ScalarScanKernel(physmem), BatchScanKernel(physmem)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -68,11 +59,11 @@ def test_zero_sweep_is_the_zero_subsequence(writes, pfns):
     physmem = build_machine(writes)
     model = [pfn for pfn in pfns if physmem.peek_content(pfn) == ZERO_PAGE]
     for kernel in kernels(physmem):
-        assert kernel.zero_frames(pfns) == model, kernel.backend
+        assert kernel.zero_frames(pfns) == model, kernel
         for pfn in pfns:
             assert kernel.is_zero_frame(pfn) == (
                 physmem.peek_content(pfn) == ZERO_PAGE
-            ), kernel.backend
+            ), kernel
 
 
 @settings(max_examples=60, deadline=None)
@@ -87,16 +78,16 @@ def test_grouping_is_a_first_encounter_partition(writes, pfns):
     for kernel in kernels(physmem):
         groups = kernel.group_by_content(pfns)
         # Exact members, exact group order, exact within-group order.
-        assert list(groups.values()) == expected_groups, kernel.backend
+        assert list(groups.values()) == expected_groups, kernel
         # Multiset model: a partition covers every index exactly once.
         flattened = sorted(
             index for members in groups.values() for index in members
         )
-        assert flattened == list(range(len(pfns))), kernel.backend
+        assert flattened == list(range(len(pfns))), kernel
         # Keys really are content identities.
         for key, members in groups.items():
             contents = {physmem.peek_content(pfns[i]) for i in members}
-            assert len(contents) == 1, kernel.backend
+            assert len(contents) == 1, kernel
 
 
 @settings(max_examples=60, deadline=None)
@@ -109,12 +100,12 @@ def test_dirty_intersection_is_an_order_preserving_filter(writes, pfns, dirty):
     physmem = build_machine(writes)
     model = [pfn for pfn in pfns if pfn in dirty]
     for kernel in kernels(physmem):
-        assert kernel.dirty_intersection(pfns, dirty) == model, kernel.backend
+        assert kernel.dirty_intersection(pfns, dirty) == model, kernel
         # Permutation invariance over the dirty set's iteration order.
         assert (
             kernel.dirty_intersection(pfns, sorted(dirty, reverse=True))
             == model
-        ), kernel.backend
+        ), kernel
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,8 +129,8 @@ def test_generation_deltas_match_the_public_accessor(writes, pfns, offsets):
     for kernel in kernels(physmem):
         assert kernel.generation_snapshot(pfns) == [
             physmem.generation(pfn) for pfn in pfns
-        ], kernel.backend
-        assert kernel.changed_since(pfns, snapshot) == model, kernel.backend
+        ], kernel
+        assert kernel.changed_since(pfns, snapshot) == model, kernel
         with pytest.raises(ValueError):
             kernel.changed_since(pfns, snapshot + [0])
 
@@ -151,10 +142,10 @@ def test_digest_sweep_matches_blake2b_recompute(writes, pfns):
     model = [content_digest(physmem.peek_content(pfn)) for pfn in pfns]
     for kernel in kernels(physmem):
         swept = kernel.digest_sweep(pfns)
-        assert swept == model, kernel.backend
-        # Python ints, never NumPy scalars: digests are unsigned
-        # 64-bit values and downstream sums must not wrap.
-        assert all(type(value) is int for value in swept), kernel.backend
+        assert swept == model, kernel
+        # Plain Python ints: digests are unsigned 64-bit values and
+        # downstream sums must not wrap.
+        assert all(type(value) is int for value in swept), kernel
 
 
 @settings(max_examples=60, deadline=None)
@@ -173,9 +164,9 @@ def test_refcount_and_fused_reductions(writes, pfns, refs, pins):
     expected_sum = sum(physmem.refcount(pfn) for pfn in pfns)
     expected_any = any(physmem.is_fused(pfn) for pfn in pfns)
     for kernel in kernels(physmem):
-        assert kernel.refcount_sum(pfns) == expected_sum, kernel.backend
-        assert type(kernel.refcount_sum(pfns)) is int, kernel.backend
-        assert kernel.any_fused(pfns) == expected_any, kernel.backend
+        assert kernel.refcount_sum(pfns) == expected_sum, kernel
+        assert type(kernel.refcount_sum(pfns)) is int, kernel
+        assert kernel.any_fused(pfns) == expected_any, kernel
 
 
 @settings(max_examples=30, deadline=None)
@@ -211,17 +202,3 @@ def test_empty_batches_are_empty_everywhere():
         assert kernel.any_fused([]) is False
         assert kernel.any_fused(frozenset()) is False
 
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
-def test_numpy_views_are_zero_copy_and_live():
-    """The frombuffer views track column mutations with no re-copy."""
-    physmem = PhysicalMemory(NUM_FRAMES)
-    kernel = BatchScanKernel(physmem, use_numpy=True)
-    assert kernel.backend == "numpy"
-    assert kernel.zero_frames(list(range(NUM_FRAMES))) == list(
-        range(NUM_FRAMES)
-    )
-    physmem.write(7, tagged_content("live", 1))
-    assert 7 not in kernel.zero_frames(list(range(NUM_FRAMES)))
-    physmem.write(7, ZERO_PAGE)
-    assert 7 in kernel.zero_frames(list(range(NUM_FRAMES)))

@@ -271,75 +271,6 @@ class TestMem002ContentCompare:
 
 
 # ----------------------------------------------------------------------
-# MEM003 — per-frame Python sweeps in engine scan paths
-# ----------------------------------------------------------------------
-class TestMem003ScanLoops:
-    BAD_REDUCTION = """
-        def sharing_pairs(physmem, pfns, shared):
-            return sum(physmem.refcount(pfn) for pfn in pfns) - shared
-    """
-    BAD_PROBE = """
-        def stable_mutated(physmem, dirty):
-            return any(physmem.is_fused(pfn) for pfn in dirty)
-    """
-    BAD_MAPPED_LOOP = """
-        def zero_candidates(physmem):
-            zeros = []
-            for pfn in physmem.mapped_frames():
-                if physmem.read(pfn) == b"":
-                    zeros.append(pfn)
-            return zeros
-    """
-
-    def test_flags_refcount_reduction(self):
-        findings = lint(self.BAD_REDUCTION, "repro.fusion.ksm", ["MEM003"])
-        assert rule_ids(findings) == ["MEM003"]
-        assert "refcount_sum" in findings[0].message
-
-    def test_flags_fused_probe(self):
-        findings = lint(self.BAD_PROBE, "repro.fusion.incremental", ["MEM003"])
-        assert rule_ids(findings) == ["MEM003"]
-        assert "any_fused" in findings[0].message
-
-    def test_flags_mapped_frames_loop(self):
-        findings = lint(self.BAD_MAPPED_LOOP, "repro.core.vusion", ["MEM003"])
-        assert "MEM003" in rule_ids(findings)
-        assert "scan_kernel" in findings[0].message
-
-    def test_flags_mapped_frames_comprehension(self):
-        findings = lint(
-            "zeros = [p for p in physmem.mapped_frames() if p in dirty]\n",
-            "repro.fusion.wpf", ["MEM003"],
-        )
-        assert rule_ids(findings) == ["MEM003"]
-
-    def test_batch_primitives_are_clean(self):
-        clean = """
-            def sharing_pairs(physmem, pfns, shared):
-                return physmem.scan_kernel.refcount_sum(pfns) - shared
-
-            def stable_mutated(physmem, dirty):
-                return physmem.scan_kernel.any_fused(dirty)
-        """
-        assert lint(clean, "repro.fusion.ksm", ["MEM003"]) == []
-
-    def test_non_frame_reductions_are_clean(self):
-        clean = """
-            def total(candidates):
-                return sum(len(v) for v in candidates.values())
-        """
-        assert lint(clean, "repro.fusion.wpf", ["MEM003"]) == []
-
-    def test_scan_kernel_and_tests_exempt(self):
-        # The scalar reference implementation *is* the per-frame loop;
-        # the rule stops engines from hand-rolling it, not repro.mem
-        # from defining it.
-        for module in ("repro.mem.scankernel", "tests.test_physmem",
-                       "repro.kernel.kernel"):
-            assert lint(self.BAD_REDUCTION, module, ["MEM003"]) == []
-
-
-# ----------------------------------------------------------------------
 # LAY001 — import layering
 # ----------------------------------------------------------------------
 class TestLay001Layering:

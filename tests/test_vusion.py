@@ -225,7 +225,7 @@ class TestSameBehaviour:
         """
         scipy_stats = pytest.importorskip(
             "scipy.stats",
-            reason="KS check needs the repro[fast] extra",
+            reason="KS check needs the repro[stats] extra",
             exc_type=ImportError,
         )
 
