@@ -27,111 +27,49 @@ Static tiers plus a runtime sanitizer, mirroring how the kernel pairs
   sanitizer (``REPRO_SANITIZE=1``) that poisons freed frames, detects
   use-after-free / double-free / CoW violations and audits refcount
   and merge-charge accounting at end of run.
+
+The package resolves its public names lazily (PEP 562): a simulation
+imports only :mod:`repro.check.sanitizer` (and its provenance log), so
+no run pays for loading the static analyzers it never calls.
 """
 
 from __future__ import annotations
 
-from repro.check.baseline import (
-    Baseline,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.check.cache import SummaryCache
-from repro.check.callgraph import CallGraph, ModuleFacts, extract_facts
-from repro.check.cfg import FunctionCFG, build_cfg, iter_functions
-from repro.check.engine import (
-    Finding,
-    LintResult,
-    check_annotations,
-    engine_of,
-    lint_paths,
-    lint_project,
-    lint_source,
-    rule_catalog,
-)
-from repro.check.fixes import FIXABLE_RULES, fix_paths, fix_source
-from repro.check.flow_rules import FLOW_RULES, FlowRule
-from repro.check.ip_rules import IP_RULES, IpAnalysis, IpRule
-from repro.check.race import (
-    OWNERSHIP_FACTS,
-    RACE_RULES,
-    RaceAnalysis,
-    RaceRule,
-)
-from repro.check.summaries import (
-    LocalSummary,
-    TransitiveSummary,
-    summarize_function,
-    summarize_project,
-)
-from repro.check.lattice import solve_forward, solve_must_reach
-from repro.check.reporting import (
-    render_findings,
-    findings_to_json,
-    findings_to_sarif,
-)
-from repro.check.rules import RULES, Rule
-from repro.check.sanitizer import (
-    FrameSan,
-    SanitizerError,
-    UseAfterFreeError,
-    DoubleFreeError,
-    BadFreeError,
-    CowViolationError,
-    AccountingError,
-    sanitizer_enabled,
-)
+import importlib
 
-__all__ = [
-    "Finding",
-    "LintResult",
-    "lint_paths",
-    "lint_project",
-    "lint_source",
-    "check_annotations",
-    "engine_of",
-    "rule_catalog",
-    "SummaryCache",
-    "CallGraph",
-    "ModuleFacts",
-    "extract_facts",
-    "IP_RULES",
-    "IpRule",
-    "IpAnalysis",
-    "RACE_RULES",
-    "RaceRule",
-    "RaceAnalysis",
-    "OWNERSHIP_FACTS",
-    "FIXABLE_RULES",
-    "fix_paths",
-    "fix_source",
-    "LocalSummary",
-    "TransitiveSummary",
-    "summarize_function",
-    "summarize_project",
-    "Baseline",
-    "render_findings",
-    "findings_to_json",
-    "findings_to_sarif",
-    "RULES",
-    "Rule",
-    "FLOW_RULES",
-    "FlowRule",
-    "FunctionCFG",
-    "build_cfg",
-    "iter_functions",
-    "solve_forward",
-    "solve_must_reach",
-    "apply_baseline",
-    "load_baseline",
-    "write_baseline",
-    "FrameSan",
-    "SanitizerError",
-    "UseAfterFreeError",
-    "DoubleFreeError",
-    "BadFreeError",
-    "CowViolationError",
-    "AccountingError",
-    "sanitizer_enabled",
-]
+#: Public name -> the submodule that defines it, imported on first use.
+_EXPORTS: dict[str, str] = {
+    **dict.fromkeys(("Finding", "LintResult", "lint_paths", "lint_project",
+                     "lint_source", "check_annotations", "engine_of",
+                     "rule_catalog"), "engine"),
+    "SummaryCache": "cache",
+    **dict.fromkeys(("CallGraph", "ModuleFacts", "extract_facts"), "callgraph"),
+    **dict.fromkeys(("IP_RULES", "IpRule", "IpAnalysis"), "ip_rules"),
+    **dict.fromkeys(("RACE_RULES", "RaceRule", "RaceAnalysis",
+                     "OWNERSHIP_FACTS"), "race"),
+    **dict.fromkeys(("FIXABLE_RULES", "fix_paths", "fix_source"), "fixes"),
+    **dict.fromkeys(("LocalSummary", "TransitiveSummary", "summarize_function",
+                     "summarize_project"), "summaries"),
+    **dict.fromkeys(("Baseline", "apply_baseline", "load_baseline",
+                     "write_baseline"), "baseline"),
+    **dict.fromkeys(("render_findings", "findings_to_json",
+                     "findings_to_sarif"), "reporting"),
+    **dict.fromkeys(("RULES", "Rule"), "rules"),
+    **dict.fromkeys(("FLOW_RULES", "FlowRule"), "flow_rules"),
+    **dict.fromkeys(("FunctionCFG", "build_cfg", "iter_functions"), "cfg"),
+    **dict.fromkeys(("solve_forward", "solve_must_reach"), "lattice"),
+    **dict.fromkeys(("FrameSan", "SanitizerError", "UseAfterFreeError",
+                     "DoubleFreeError", "BadFreeError", "CowViolationError",
+                     "AccountingError", "sanitizer_enabled"), "sanitizer"),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -35,6 +35,7 @@ and ``repro.kernel``), so it may import only ``repro.errors``.
 from __future__ import annotations
 
 import os
+import weakref
 from typing import TYPE_CHECKING
 
 from repro.check.provenance import FrameProvenance
@@ -98,7 +99,8 @@ class FrameSan:
 
     def __init__(self, physmem: "PhysicalMemory", clock=None,
                  zero_frame: int = 0, reserved_frames: int = 0) -> None:
-        self.physmem = physmem
+        # ``physmem`` owns its sanitizer (``physmem.sanitizer``).
+        self.physmem = weakref.proxy(physmem)
         self.clock = clock if clock is not None else _ZeroClock()
         self.zero_frame = zero_frame
         self.reserved_frames = reserved_frames

@@ -28,7 +28,7 @@ class DeferredFreeQueue:
         pool: "RandomFramePool",
         period: int,
     ) -> None:
-        self.kernel = kernel
+        self.kernel = kernel.handle
         self.pool = pool
         self._queue: deque[tuple[str, object]] = deque()
         self.drained = 0
@@ -62,11 +62,13 @@ class DeferredFreeQueue:
 
     def drain(self) -> None:
         """Process all queued requests (daemon context)."""
+        clock = self.kernel.clock
+        buddy_free = self.kernel.costs.buddy_free
         while self._queue:
             kind, payload = self._queue.popleft()
             if kind == "free":
                 self.pool.free(payload)
-                self.kernel.clock.advance(self.kernel.costs.buddy_free)
+                clock.advance(buddy_free)
                 self.drained += 1
             elif kind == "reclaim":
                 payload()

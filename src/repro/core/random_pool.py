@@ -32,7 +32,7 @@ class RandomFramePool:
     def __init__(self, kernel: "Kernel", capacity: int, seed: int) -> None:
         if capacity <= 0:
             raise ValueError("pool capacity must be positive")
-        self.kernel = kernel
+        self.kernel = kernel.handle
         self.requested_capacity = capacity
         # On scaled-down simulated machines the paper's full 128 MiB
         # reserve could swallow most of RAM; cap the pool at a quarter
@@ -59,12 +59,13 @@ class RandomFramePool:
     def _refill(self) -> None:
         buddy = self.kernel.buddy
         sanitizer = self.kernel.sanitizer
+        physmem = self.kernel.physmem
         while len(self._frames) < self.capacity:
             try:
                 pfn = buddy.alloc()
             except OutOfMemoryError:
                 break
-            self.kernel.physmem.set_frame_type(pfn, FrameType.FREE)
+            physmem.set_frame_type(pfn, FrameType.FREE)
             if sanitizer is not None:
                 # Reserve capacity holds no data: poison it so a stray
                 # read/write of a pooled frame faults as use-after-free.
@@ -114,10 +115,11 @@ class RandomFramePool:
     def drain(self) -> int:
         """Return every pooled frame to the buddy (teardown); count them."""
         sanitizer = self.kernel.sanitizer
+        buddy = self.kernel.buddy
         count = len(self._frames)
         for pfn in self._frames:
             if sanitizer is not None:
                 sanitizer.on_release(pfn, "pool")
-            self.kernel.buddy.free(pfn)
+            buddy.free(pfn)
         self._frames.clear()
         return count

@@ -106,12 +106,16 @@ class Vusion(FusionEngine):
     # Registration
     # ------------------------------------------------------------------
     def _register(self, kernel: "Kernel") -> None:
+        read = kernel.physmem.read
+        advance = kernel.clock.advance
+        tree_compare = kernel.costs.tree_compare
+
         def charge() -> None:
-            kernel.clock.advance(kernel.costs.tree_compare)
+            advance(tree_compare)
 
         self.cursor = ScanCursor(kernel)
         self.stable = RedBlackTree(
-            key_of=lambda node: kernel.physmem.read(node.pfn), on_compare=charge
+            key_of=lambda node: read(node.pfn), on_compare=charge
         )
         self.pool = RandomFramePool(
             kernel, self.config.random_pool_frames, seed=kernel.spec.seed + 1
@@ -139,13 +143,14 @@ class Vusion(FusionEngine):
     # Scanning
     # ------------------------------------------------------------------
     def scan_tick(self) -> None:
-        kernel = self.kernel
+        clock = self.kernel.clock
+        scan_page = self.kernel.costs.scan_page
         inc = self._inc
         self.stats.scans += 1
         for process, vma, vaddr in self.cursor.next_pages(
             self.fusion_config.pages_per_scan
         ):
-            kernel.clock.advance(kernel.costs.scan_page)
+            clock.advance(scan_page)
             self.stats.pages_scanned += 1
             if inc.try_replay(process, vaddr):
                 continue
@@ -336,7 +341,10 @@ class Vusion(FusionEngine):
         if node is None:
             self.deferred.queue_dummy()
             return
-        self.deferred.queue_reclaim(lambda: self._reclaim_if_dead(node))
+        # The queue belongs to this engine: reach back through the
+        # kernel's weak handle, not through ``self``.
+        kernel = self.kernel
+        self.deferred.queue_reclaim(lambda: kernel.fusion._reclaim_if_dead(node))
 
     def _reclaim_if_dead(self, node: VusionNode) -> None:
         """Drain-time check: release nodes with no mappers left."""

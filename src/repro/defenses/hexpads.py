@@ -44,7 +44,7 @@ class HexPadsDetector:
     """Per-process CoW-burst anomaly detection over fault counters."""
 
     def __init__(self, kernel: "Kernel", config: HexPadsConfig | None = None) -> None:
-        self.kernel = kernel
+        self.kernel = kernel.handle
         self.config = config or HexPadsConfig()
         self.flagged: set[int] = set()
         self.windows_observed = 0
@@ -63,21 +63,23 @@ class HexPadsDetector:
 
         Performance counters attribute events to the running process;
         the simulator's equivalent is inspecting each access result.
+        The probe lives on the kernel, so it holds the kernel's weak
+        handle and the unbound access method, never the kernel itself.
         """
-        original_access = self.kernel.access
+        kernel = self.kernel
+        original_access = kernel.__class__.access
+        window_counts = self._window_counts
 
         def probed_access(process, vaddr, kind, new_content=None):
-            result = original_access(process, vaddr, kind, new_content)
+            result = original_access(kernel, process, vaddr, kind, new_content)
             if any(
                 kind_name in ("unmerge_cow", "copy_on_access")
                 for kind_name in result.fault_kinds
             ):
-                self._window_counts[process.pid] = (
-                    self._window_counts.get(process.pid, 0) + 1
-                )
+                window_counts[process.pid] = window_counts.get(process.pid, 0) + 1
             return result
 
-        self.kernel.access = probed_access  # type: ignore[method-assign]
+        kernel.access = probed_access  # type: ignore[method-assign]
 
     def _close_window(self) -> None:
         self.windows_observed += 1

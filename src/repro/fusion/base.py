@@ -57,7 +57,7 @@ class ScanCursor:
     """
 
     def __init__(self, kernel: "Kernel") -> None:
-        self._kernel = kernel
+        self._kernel = kernel.handle
         self._items: list[tuple["Process", Vma]] = []
         self._vma_index = 0
         self._page_index = 0
@@ -118,12 +118,19 @@ class FusionEngine(ABC):
     # Lifecycle
     # ------------------------------------------------------------------
     def attach(self, kernel: "Kernel") -> None:
-        self.kernel = kernel
-        self._register(kernel)
+        # The kernel owns its engine: hold (and register with) its weak
+        # handle, so closures built in ``_register`` are weak as well.
+        self.kernel = kernel.handle
+        self._register(self.kernel)
 
     @abstractmethod
     def _register(self, kernel: "Kernel") -> None:
-        """Register daemons and allocate engine state."""
+        """Register daemons and allocate engine state.
+
+        ``kernel`` is the weak handle.  Per-page closures should bind
+        the parts they call (``physmem.read``, ``clock.advance``), which
+        never point back up, instead of dereferencing it every time.
+        """
 
     # ------------------------------------------------------------------
     # Fault hooks (defaults; engines override what they use)

@@ -98,7 +98,10 @@ class IncrementalScanCache:
         charged: bool = False,
         insert: Callable | None = None,
     ) -> None:
-        self.kernel = kernel
+        self.kernel = kernel.handle
+        # Bound once: replay consults them for every scanned page.
+        self._physmem = kernel.physmem
+        self._clock = kernel.clock
         self.name = name
         self.enabled = kernel.physmem.fingerprints.enabled
         #: Whether this engine commits charged (NOOP/INSERT) memos;
@@ -142,7 +145,7 @@ class IncrementalScanCache:
         # Dirty-set intersection with the fusion-pinned frames, via
         # the scan kernel (C-level set disjointness on the batch
         # kernel instead of a per-frame Python probe loop).
-        if dirty and self.kernel.physmem.scan_kernel.any_fused(dirty):
+        if dirty and self._physmem.scan_kernel.any_fused(dirty):
             self.epoch += 1
 
     def begin_round(self) -> None:
@@ -183,11 +186,11 @@ class IncrementalScanCache:
             or memo.epoch != self.epoch
             or memo.token != self._token
             or process.address_space.page_table.version != memo.ptv
-            or self.kernel.physmem.generation(memo.pfn) != memo.gen
+            or self._physmem.generation(memo.pfn) != memo.gen
         ):
             return False
         if memo.charge:
-            self.kernel.clock.advance(memo.charge)
+            self._clock.advance(memo.charge)
         if memo.ref is not None:
             if self._materialized:
                 self._insert_quiet(memo.ref)
@@ -269,7 +272,7 @@ class IncrementalScanCache:
             kind,
             ptv,
             pfn,
-            self.kernel.physmem.generation(pfn),
+            self._physmem.generation(pfn),
             digest,
             charge,
             ref,
@@ -302,7 +305,7 @@ class IncrementalPassCache:
     """
 
     def __init__(self, kernel: "Kernel", name: str) -> None:
-        self.kernel = kernel
+        self.kernel = kernel.handle
         self.name = name
         self.enabled = kernel.physmem.fingerprints.enabled
         self._memo: tuple | None = None

@@ -17,6 +17,7 @@ Faithful to the structure described in §2.1:
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
 from repro.fusion.base import FusionEngine, ScanCursor
@@ -92,30 +93,38 @@ class Ksm(FusionEngine):
     # Registration
     # ------------------------------------------------------------------
     def _register(self, kernel: "Kernel") -> None:
+        read = kernel.physmem.read
+        advance = kernel.clock.advance
+        tree_compare = kernel.costs.tree_compare
+
         def charge() -> None:
             # Quiet inserts re-build tree state whose comparisons were
             # already charged when the originating memo was recorded.
             if inc.quiet:
                 return
-            kernel.clock.advance(kernel.costs.tree_compare)
+            advance(tree_compare)
 
         self.cursor = ScanCursor(kernel)
         self.stable = RedBlackTree(
-            key_of=lambda node: kernel.physmem.read(node.pfn), on_compare=charge
+            key_of=lambda node: read(node.pfn), on_compare=charge
         )
         self.unstable = RedBlackTree(
-            key_of=lambda ref: kernel.physmem.read(ref.pfn), on_compare=charge
+            key_of=lambda ref: read(ref.pfn), on_compare=charge
         )
-        inc = self._inc = IncrementalScanCache(
+        self._inc = IncrementalScanCache(
             kernel, self.name, charged=True, insert=self.unstable.insert
         )
+        # The cache holds the unstable tree's insert, so the tree's
+        # charge closure sees the cache through a weak proxy.
+        inc = weakref.proxy(self._inc)
         kernel.register_daemon("ksmd", self.config.scan_interval, self.scan_tick)
 
     # ------------------------------------------------------------------
     # Scanning
     # ------------------------------------------------------------------
     def scan_tick(self) -> None:
-        kernel = self.kernel
+        clock = self.kernel.clock
+        scan_page = self.kernel.costs.scan_page
         inc = self._inc
         self.stats.scans += 1
         inc.begin_tick()
@@ -133,14 +142,14 @@ class Ksm(FusionEngine):
             if not batch:
                 break
             process, _vma, vaddr = batch[0]
-            kernel.clock.advance(kernel.costs.scan_page)
+            clock.advance(scan_page)
             self.stats.pages_scanned += 1
             if inc.try_replay(process, vaddr):
                 continue
             inc.materialize()
-            start = kernel.clock.now
+            start = clock.now
             outcome = self._scan_one(process, vaddr)
-            inc.commit(process, vaddr, outcome, kernel.clock.now - start)
+            inc.commit(process, vaddr, outcome, clock.now - start)
 
     def _scan_one(self, process: "Process", vaddr: int):
         """Scan one page; returns the replay outcome for the memo cache

@@ -132,13 +132,14 @@ class MemoryCombining(FusionEngine):
     # Eviction scan
     # ------------------------------------------------------------------
     def scan_tick(self) -> None:
-        kernel = self.kernel
+        clock = self.kernel.clock
+        scan_page = self.kernel.costs.scan_page
         inc = self._inc
         self.stats.scans += 1
         for process, _vma, vaddr in self.cursor.next_pages(
             self.config.pages_per_scan
         ):
-            kernel.clock.advance(kernel.costs.scan_page)
+            clock.advance(scan_page)
             self.stats.pages_scanned += 1
             if inc.try_replay(process, vaddr):
                 continue

@@ -56,15 +56,17 @@ class LinearHighAllocator:
     """
 
     def __init__(self, kernel: "Kernel") -> None:
-        self.kernel = kernel
+        self.kernel = kernel.handle
 
     def alloc_batch(self, count: int) -> list[int]:
         """Allocate ``count`` frames, highest free frames first."""
         if count <= 0:
             return []
         kernel = self.kernel
+        buddy = kernel.buddy
+        physmem = kernel.physmem
         targets: list[int] = []
-        for pfn in kernel.buddy.iter_free_frames_desc():
+        for pfn in buddy.iter_free_frames_desc():
             targets.append(pfn)
             if len(targets) == count:
                 break
@@ -74,8 +76,8 @@ class LinearHighAllocator:
             )
         frames = []
         for pfn in targets:
-            kernel.buddy.alloc_specific(pfn)
-            kernel.physmem.set_frame_type(pfn, FrameType.ANON)
+            buddy.alloc_specific(pfn)
+            physmem.set_frame_type(pfn, FrameType.ANON)
             frames.append(pfn)
         kernel.clock.advance(kernel.costs.buddy_alloc * max(1, count // 8))
         kernel.stats.frames_allocated += count
@@ -99,8 +101,11 @@ class WindowsPageFusion(FusionEngine):
         self._pass_cache: IncrementalPassCache | None = None
 
     def _register(self, kernel: "Kernel") -> None:
+        advance = kernel.clock.advance
+        tree_compare = kernel.costs.tree_compare
+
         def charge() -> None:
-            kernel.clock.advance(kernel.costs.tree_compare)
+            advance(tree_compare)
 
         self._trees = [AvlTree(on_compare=charge) for _ in range(self.num_trees)]
         self._allocator = LinearHighAllocator(kernel)
@@ -158,6 +163,8 @@ class WindowsPageFusion(FusionEngine):
         """
         kernel = self.kernel
         physmem = kernel.physmem
+        clock = kernel.clock
+        checksum_page = kernel.costs.checksum_page
         holders: list[tuple["Process", int, int]] = []
         pfns: list[int] = []
         for process in sorted(kernel.processes, key=lambda p: p.pid):
@@ -169,7 +176,7 @@ class WindowsPageFusion(FusionEngine):
                     if walk is None or walk.huge or walk.pte.fused:
                         continue
                     pfn = walk.frame_for(vaddr)
-                    kernel.clock.advance(kernel.costs.checksum_page)
+                    clock.advance(checksum_page)
                     holders.append((process, vaddr, pfn))
                     pfns.append(pfn)
         groups = physmem.scan_kernel.group_by_content(pfns)
@@ -198,7 +205,9 @@ class WindowsPageFusion(FusionEngine):
         digests: dict[object, int],
     ) -> None:
         """Allocate new stable frames for duplicated contents, hash order."""
-        kernel = self.kernel
+        physmem = self.kernel.physmem
+        clock = self.kernel.clock
+        copy_page = self.kernel.costs.copy_page
         trees = self._trees
         new_keys = [
             key
@@ -213,11 +222,11 @@ class WindowsPageFusion(FusionEngine):
             return
         for key, pfn in zip(new_keys, frames):
             content = contents[key]
-            kernel.physmem.write(pfn, content)
-            kernel.clock.advance(kernel.costs.copy_page)
+            physmem.write(pfn, content)
+            clock.advance(copy_page)
             node = WpfNode(pfn, content)
-            kernel.physmem.pin_fused(pfn)
-            kernel.physmem.get_ref(pfn)
+            physmem.pin_fused(pfn)
+            physmem.get_ref(pfn)
             trees[digests[key] % self.num_trees].insert(content, node)
             self._nodes_by_pfn[pfn] = node
             self.stats.stable_nodes_created += 1

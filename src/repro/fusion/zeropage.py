@@ -46,10 +46,11 @@ class ZeroPageFusion(FusionEngine):
         )
 
     def scan_tick(self) -> None:
-        kernel = self.kernel
+        clock = self.kernel.clock
+        scan_page = self.kernel.costs.scan_page
         self.stats.scans += 1
         for process, vma, vaddr in self.cursor.next_pages(self.config.pages_per_scan):
-            kernel.clock.advance(kernel.costs.scan_page)
+            clock.advance(scan_page)
             self.stats.pages_scanned += 1
             self._scan_one(process, vaddr)
 

@@ -58,7 +58,7 @@ class AdaptiveThpPolicy:
         khugepaged: "Khugepaged",
         config: AdaptiveThpConfig | None = None,
     ) -> None:
-        self.kernel = kernel
+        self.kernel = kernel.handle
         self.khugepaged = khugepaged
         self.config = config or AdaptiveThpConfig()
         self.adjustments: list[tuple[int, int]] = []

@@ -10,6 +10,7 @@ VUsion live inside Linux.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
 from repro.cache.llc import LastLevelCache
@@ -55,7 +56,15 @@ ZERO_FRAME = 0
 
 
 class Kernel:
-    """One simulated machine: physical memory, MMU services and daemons."""
+    """One simulated machine: physical memory, MMU services and daemons.
+
+    The kernel owns its machine: every part hangs below it by a strong
+    reference, and every part that calls back up (processes, engines,
+    daemons) holds :attr:`handle`, a weak proxy.  A dropped kernel is
+    therefore freed by reference counting alone, with everything it
+    owns, and a ``Process`` or engine kept past that point raises
+    ``ReferenceError`` on its next call into the kernel.
+    """
 
     def __init__(
         self,
@@ -63,6 +72,8 @@ class Kernel:
         thp_fault_enabled: bool = False,
         sanitize: bool | None = None,
     ) -> None:
+        #: The weak handle children store to call back into the kernel.
+        self.handle: "Kernel" = weakref.proxy(self)
         self.spec = spec or MachineSpec()
         self.costs = self.spec.costs
         self.clock = Clock()
@@ -138,15 +149,18 @@ class Kernel:
         self._processes.pop(process.pid, None)
 
     def register_daemon(self, name: str, period: int, callback) -> Daemon:
+        # The scheduler belongs to this kernel, so the tick binds the
+        # parts it charges rather than the kernel itself.
+        clock = self.clock
+        daemon_ns = self.stats.daemon_ns
+
         def timed_tick() -> None:
-            start = self.clock.now
+            start = clock.now
             callback()
-            self.stats.daemon_ns[name] = (
-                self.stats.daemon_ns.get(name, 0) + self.clock.now - start
-            )
+            daemon_ns[name] = daemon_ns.get(name, 0) + clock.now - start
 
         return self.scheduler.register(
-            Daemon(name, period, timed_tick), self.clock.now
+            Daemon(name, period, timed_tick), clock.now
         )
 
     def run_due_daemons(self) -> None:

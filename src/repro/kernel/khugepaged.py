@@ -47,7 +47,7 @@ class Khugepaged:
         """``min_present`` is an Ingens-style utilisation threshold:
         a range collapses only when at least that many of its 512 base
         pages are populated (default ~90%), avoiding THP bloat."""
-        self.kernel = kernel
+        self.kernel = kernel.handle
         self.secure = secure
         self.active_threshold = active_threshold
         self.min_present = min_present
@@ -56,7 +56,7 @@ class Khugepaged:
         self.collapses = 0
         self.skipped_inactive = 0
         self.skipped_fused = 0
-        self.daemon = kernel.register_daemon("khugepaged", period, self.scan)
+        kernel.register_daemon("khugepaged", period, self.scan)
 
     # ------------------------------------------------------------------
     # Scanning
@@ -141,8 +141,9 @@ class Khugepaged:
             head = kernel.alloc_frame(FrameType.ANON, order=9, zero=True)
         except OutOfMemoryError:
             return False
+        physmem = kernel.physmem
         for index, pte in sorted(entries.items()):
-            kernel.physmem.copy(pte.pfn, head + index)
+            physmem.copy(pte.pfn, head + index)
         for index in sorted(entries):
             pfn, refcount, pte = kernel.unmap_page(process, base + index * PAGE_SIZE)
             kernel.release_after_unmap(pfn, refcount, pte)

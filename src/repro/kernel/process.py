@@ -28,7 +28,9 @@ class Process:
     def __init__(self, pid: int, name: str, kernel: "Kernel") -> None:
         self.pid = pid
         self.name = name
-        self.kernel = kernel
+        #: The kernel's weak handle: the kernel owns its processes, so a
+        #: process alone does not keep its machine alive.
+        self.kernel = kernel.handle
         self.address_space = AddressSpace()
         self.tlb = Tlb(kernel.spec.tlb)
         self.file_store = GuestFileStore()

@@ -51,6 +51,7 @@ and checks the suites catch each one.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.mem.arena import ZERO_ID
@@ -70,7 +71,8 @@ class BatchScanKernel:
     """
 
     def __init__(self, physmem: "PhysicalMemory") -> None:
-        self.physmem = physmem
+        # ``physmem`` owns this kernel (``physmem.scan_kernel``).
+        self.physmem = weakref.proxy(physmem)
         # The column is allocated once per machine and never resized,
         # so the reference stays valid for the machine's lifetime.
         self._cids = physmem._cids
